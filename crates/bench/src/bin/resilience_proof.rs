@@ -284,7 +284,7 @@ fn main() {
     let mut probe = ResilientClient::new(&direct_addr, RetryPolicy::default());
     let mut panic_req = Request::new(900_001, RequestKind::Route, "boston");
     panic_req.source = 3;
-    panic_req.inject_panic = true;
+    panic_req.inject = Some(serve::Injection::Panic);
     let panic_resp = probe
         .call(&panic_req)
         .expect("panic call completes")

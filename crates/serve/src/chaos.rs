@@ -20,7 +20,7 @@
 //! checksum verification is what detects it — exactly the production
 //! failure mode.
 
-use crate::protocol::{FRAME_HEADER, MAX_FRAME};
+use crate::protocol::{configure_stream, FRAME_HEADER, MAX_FRAME};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -221,6 +221,16 @@ struct RawFrame {
     payload: Vec<u8>,
 }
 
+impl RawFrame {
+    /// The frame as it travels: header then payload, contiguous.
+    fn bytes(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(FRAME_HEADER + self.payload.len());
+        bytes.extend_from_slice(&self.header);
+        bytes.extend_from_slice(&self.payload);
+        bytes
+    }
+}
+
 /// Reads one raw frame without checksum validation. `Err(())` covers
 /// EOF, transport errors, and unframeable (oversized) input — in every
 /// case the pump gives up and closes both directions.
@@ -292,11 +302,11 @@ fn pump_requests(mut from_client: TcpStream, mut to_server: TcpStream, plan: Cha
     shutdown_both(&from_client, &to_server);
 }
 
+/// Forwards a frame intact: header and payload in one write, the same
+/// contract as [`crate::protocol::write_frame`], so the proxy adds no
+/// transport stall of its own to the frames it passes through.
 fn write_frame_raw(w: &mut TcpStream, frame: &RawFrame) -> bool {
-    w.write_all(&frame.header)
-        .and_then(|_| w.write_all(&frame.payload))
-        .and_then(|_| w.flush())
-        .is_ok()
+    w.write_all(&frame.bytes()).and_then(|_| w.flush()).is_ok()
 }
 
 /// Dribbles a frame: header and the first payload bytes go out in
@@ -304,9 +314,7 @@ fn write_frame_raw(w: &mut TcpStream, frame: &RawFrame) -> bool {
 /// (bounded total delay so the test stays fast while the receiver
 /// still experiences a slow writer across its header/payload reads).
 fn write_frame_slowly(w: &mut TcpStream, frame: &RawFrame, slow_ms: u64) -> bool {
-    let mut bytes = Vec::with_capacity(FRAME_HEADER + frame.payload.len());
-    bytes.extend_from_slice(&frame.header);
-    bytes.extend_from_slice(&frame.payload);
+    let bytes = frame.bytes();
     let dribbled = bytes.len().min(FRAME_HEADER + 16);
     for chunk in bytes[..dribbled].chunks(3) {
         if w.write_all(chunk).and_then(|_| w.flush()).is_err() {
@@ -471,9 +479,9 @@ fn handle_conn(client: TcpStream, upstream: SocketAddr, plan: ChaosPlan, id: u64
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
-    client.set_nodelay(true).ok();
-    server.set_nodelay(true).ok();
-    let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
+    let configured = configure_stream(&client).and_then(|_| configure_stream(&server));
+    let (Ok(()), Ok(client_r), Ok(server_r)) = (configured, client.try_clone(), server.try_clone())
+    else {
         shutdown_both(&client, &server);
         return;
     };

@@ -28,7 +28,7 @@
 //! earn a fraction back, so a hiccup retries freely but a dead server
 //! cannot amplify load indefinitely.
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response};
+use crate::protocol::{configure_stream, read_frame, write_frame, FrameError, Request, Response};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -217,7 +217,7 @@ impl ResilientClient {
     fn connect(&mut self, remaining: Option<Duration>) -> Result<(), String> {
         let stream =
             TcpStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
-        stream.set_nodelay(true).ok();
+        configure_stream(&stream).map_err(|e| format!("configure {}: {e}", self.addr))?;
         let timeout = match (self.policy.attempt_timeout, remaining) {
             (Some(a), Some(r)) => Some(a.min(r)),
             (Some(a), None) => Some(a),

@@ -71,8 +71,8 @@ pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosSite};
 pub use client::{Call, ResilientClient, RetryBudget, RetryPolicy};
 pub use protocol::{
-    error_response, frame_checksum, ok_response, read_frame, write_frame, FrameError, Request,
-    RequestKind, Response, FRAME_HEADER, MAX_EXACT_ID, MAX_FRAME,
+    error_response, frame_checksum, ok_response, read_frame, write_frame, FrameError, Injection,
+    Request, RequestKind, Response, FRAME_HEADER, MAX_EXACT_ID, MAX_FRAME,
 };
 pub use queue::BatchQueue;
 pub use registry::{NetworkRegistry, ResidentNetwork};

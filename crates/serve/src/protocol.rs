@@ -29,6 +29,7 @@ use obs::JsonValue;
 use pathattack::{CostType, WeightType};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Hard cap on one frame's payload size (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
@@ -98,8 +99,26 @@ pub fn frame_checksum(bytes: &[u8]) -> u32 {
     h
 }
 
+/// Applies the transport policy to a metro-serve socket: `TCP_NODELAY`.
+///
+/// Every frame is one request or one response, and the peer waits for
+/// it. With Nagle's algorithm on, a small frame written while an earlier
+/// segment is still unacknowledged is held back until the peer ACKs —
+/// and the peer delays that ACK (up to ~40 ms on Linux) because it has
+/// nothing to send yet. Every stream the crate connects or accepts goes
+/// through here, on both ends and on both legs of the chaos proxy.
+///
+/// # Errors
+///
+/// Propagates the socket-option failure.
+pub fn configure_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 /// Writes one frame (4-byte big-endian length, 4-byte big-endian
-/// FNV-1a checksum, then the payload).
+/// FNV-1a checksum, then the payload) with a single `write_all`, so
+/// header and payload leave in one segment rather than as a small
+/// header segment the payload then waits behind.
 ///
 /// # Errors
 ///
@@ -111,11 +130,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    let mut header = [0u8; FRAME_HEADER];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[4..].copy_from_slice(&frame_checksum(payload).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&frame_checksum(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -255,6 +274,31 @@ impl RequestKind {
     }
 }
 
+/// A fault a request asks the executing worker to inject. Only servers
+/// started with `fault_injection: true` honor it; production servers
+/// answer such requests with a plain error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Injection {
+    /// Panic mid-request (wire value `"panic"`): exercises the
+    /// supervisor's per-job unwind boundary.
+    Panic,
+    /// Park the worker (wire value `"park"`) until the admission queue
+    /// next sheds a request or the server drains, then execute the
+    /// request normally: a deterministic way to hold a worker busy
+    /// while a test fills the queue behind it.
+    Park,
+}
+
+impl Injection {
+    /// Wire name of the fault.
+    pub fn name(self) -> &'static str {
+        match self {
+            Injection::Panic => "panic",
+            Injection::Park => "park",
+        }
+    }
+}
+
 /// One parsed request.
 ///
 /// Defaults mirror the CLI: weight `time`, cost `uniform`, rank 20,
@@ -297,11 +341,11 @@ pub struct Request {
     /// Per-request deadline override in milliseconds (`None` = server
     /// default).
     pub deadline_ms: Option<u64>,
-    /// Fault-injection hook: `true` asks the executing worker to panic
-    /// mid-request. Only honored by servers started with
-    /// `fault_injection: true` (the `resilience_proof` bench and the
-    /// chaos tests); production servers answer it with a plain error.
-    pub inject_panic: bool,
+    /// Fault-injection hook (see [`Injection`]). Only honored by
+    /// servers started with `fault_injection: true` (the
+    /// `resilience_proof` bench and the chaos and robustness tests);
+    /// production servers answer it with a plain error.
+    pub inject: Option<Injection>,
 }
 
 impl Request {
@@ -323,7 +367,7 @@ impl Request {
             perturb_cap: None,
             integer_round: false,
             deadline_ms: None,
-            inject_panic: false,
+            inject: None,
         }
     }
 
@@ -422,12 +466,13 @@ impl Request {
             Some(JsonValue::Bool(b)) => *b,
             Some(_) => return Err("\"integer_round\" must be a boolean".to_string()),
         };
-        req.inject_panic = match doc.get("inject") {
-            None | Some(JsonValue::Null) => false,
-            Some(JsonValue::Str(s)) if s == "panic" => true,
+        req.inject = match doc.get("inject") {
+            None | Some(JsonValue::Null) => None,
+            Some(JsonValue::Str(s)) if s == "panic" => Some(Injection::Panic),
+            Some(JsonValue::Str(s)) if s == "park" => Some(Injection::Park),
             Some(other) => {
                 return Err(format!(
-                    "unknown \"inject\" value {:?} (only \"panic\" is defined)",
+                    "unknown \"inject\" value {:?} (\"panic\" and \"park\" are defined)",
                     other.to_json()
                 ))
             }
@@ -486,8 +531,11 @@ impl Request {
         if let Some(d) = self.deadline_ms {
             obj.insert("deadline_ms".to_string(), JsonValue::Num(d as f64));
         }
-        if self.inject_panic {
-            obj.insert("inject".to_string(), JsonValue::Str("panic".to_string()));
+        if let Some(fault) = self.inject {
+            obj.insert(
+                "inject".to_string(),
+                JsonValue::Str(fault.name().to_string()),
+            );
         }
         JsonValue::Obj(obj).to_json().into_bytes()
     }
@@ -576,6 +624,40 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
     }
 
+    /// A sink that counts `write` calls and keeps what it was given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let payload = br#"{"kind":"ping","id":1}"#;
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, payload).unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave in one write");
+        assert_eq!(w.bytes.len(), FRAME_HEADER + payload.len());
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap(), payload);
+        // An oversized payload is refused before anything is written.
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &vec![b'x'; MAX_FRAME + 1]).is_err());
+        assert_eq!(w.writes, 0);
+    }
+
     #[test]
     fn truncated_and_oversized_frames_detected() {
         let mut r: &[u8] = &[0, 0]; // partial header
@@ -661,11 +743,13 @@ mod tests {
 
     #[test]
     fn inject_round_trips_and_kinds_declare_idempotency() {
-        let mut req = Request::new(5, RequestKind::Route, "boston");
-        req.inject_panic = true;
-        let back = Request::parse(&req.to_payload()).unwrap();
-        assert!(back.inject_panic);
-        assert_eq!(back, req);
+        for fault in [Injection::Panic, Injection::Park] {
+            let mut req = Request::new(5, RequestKind::Route, "boston");
+            req.inject = Some(fault);
+            let back = Request::parse(&req.to_payload()).unwrap();
+            assert_eq!(back.inject, Some(fault));
+            assert_eq!(back, req);
+        }
         // Every current kind is a pure query; the contract is exercised
         // (rather than dead) through the resilient client's transport
         // retry gate.

@@ -109,9 +109,9 @@ impl ResidentNetwork {
     }
 
     /// The resident [`NetworkHierarchy`] for this city, built on first
-    /// use (batched mode attaches it to attack problems; the build —
-    /// freeze plus metric-independent contraction — is paid once per
-    /// city and every later request re-customizes instead).
+    /// use (every attack problem attaches it, batching on or off; the
+    /// build — freeze plus metric-independent contraction — is paid
+    /// once per city and every later request re-customizes instead).
     pub fn hierarchy(&self) -> &Arc<NetworkHierarchy> {
         self.hierarchy
             .get_or_init(|| Arc::new(NetworkHierarchy::build(&self.net)))

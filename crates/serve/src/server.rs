@@ -8,7 +8,8 @@
 //!   [`Server::drain`]) promptly. On drain it stops accepting and
 //!   exits; the supervisor then waits for live connections to finish
 //!   (bounded by the drain deadline, after which stragglers are
-//!   force-closed) and closes the queue.
+//!   force-closed) and closes the queue. Accepted sockets get the
+//!   crate's transport policy ([`configure_stream`]: `TCP_NODELAY`).
 //! * **reader threads** (one per connection) — frame + parse requests,
 //!   validate them against the resident networks (cheap work, early
 //!   errors), and push [`Job`]s into the [`BatchQueue`]. `stats`,
@@ -45,8 +46,8 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::protocol::{
-    error_response, ok_response, read_frame, write_frame, FrameError, Request, RequestKind,
-    Response,
+    configure_stream, error_response, ok_response, read_frame, write_frame, FrameError, Injection,
+    Request, RequestKind, Response,
 };
 use crate::queue::BatchQueue;
 use crate::registry::{NetworkRegistry, ResidentNetwork};
@@ -118,9 +119,10 @@ pub struct ServerConfig {
     pub restart_per_sec: f64,
     /// Per-city circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Whether `"inject": "panic"` requests actually panic the
-    /// executing worker. Off in production (such requests get a plain
-    /// error); the chaos tests and `resilience_proof` turn it on.
+    /// Whether requests carrying an `"inject"` fault ([`Injection`]:
+    /// panic or park the executing worker) actually inject it. Off in
+    /// production (such requests get a plain error); the chaos and
+    /// robustness tests and `resilience_proof` turn it on.
     pub fault_injection: bool,
     /// Master switch for the per-job resilience machinery (breaker
     /// admission checks and per-job `catch_unwind`). On in production;
@@ -195,11 +197,28 @@ struct Shared {
     /// One circuit breaker per resident network, keyed by city name.
     /// Built at startup and never mutated, so lookups are lock-free.
     breakers: BTreeMap<String, CircuitBreaker>,
+    /// Requests shed over the server's lifetime; a parked worker
+    /// ([`Injection::Park`]) waits for this to move.
+    sheds: AtomicU64,
 }
 
 impl Shared {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || signal::drain_requested()
+    }
+
+    /// Books one shed request: counters, the park release, and the
+    /// breaker probe slot the request reserved at admission (a shed
+    /// request produced no verdict, so the slot goes back).
+    fn note_shed(&self, city: &str) {
+        obs::inc("serve.requests.shed");
+        obs::add_windowed("serve.requests.shed", 1);
+        self.sheds.fetch_add(1, Ordering::SeqCst);
+        if self.cfg.resilience {
+            if let Some(breaker) = self.breakers.get(city) {
+                breaker.release();
+            }
+        }
     }
 }
 
@@ -272,6 +291,7 @@ impl Server {
             restarts: AtomicU64::new(0),
             escalated: AtomicBool::new(false),
             breakers,
+            sheds: AtomicU64::new(0),
         });
 
         let (tx, rx) = mpsc::channel();
@@ -543,6 +563,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     while !shared.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if configure_stream(&stream).is_err() {
+                    continue;
+                }
                 let writer = match stream.try_clone() {
                     Ok(clone) => Arc::new(Mutex::new(clone)),
                     Err(_) => continue,
@@ -790,15 +813,7 @@ fn handle_request(request: Request, writer: &Arc<Mutex<TcpStream>>, shared: &Arc
     obs::inc("serve.requests.admitted");
     obs::add_windowed("serve.requests", 1);
     if let Err(job) = shared.queue.push(job) {
-        obs::inc("serve.requests.shed");
-        obs::add_windowed("serve.requests.shed", 1);
-        if shared.cfg.resilience {
-            // The breaker reserved a probe slot at admission; a shed
-            // request produced no verdict, so hand the slot back.
-            if let Some(breaker) = shared.breakers.get(&job.request.city) {
-                breaker.release();
-            }
-        }
+        shared.note_shed(&job.request.city);
         send(
             &job.writer,
             &error_response(
@@ -972,13 +987,7 @@ fn worker_loop(shared: &Arc<Shared>) -> WorkerExit {
                         let jwriter = j.writer.clone();
                         let jcity = j.request.city.clone();
                         if shared.queue.push(j).is_err() {
-                            obs::inc("serve.requests.shed");
-                            obs::add_windowed("serve.requests.shed", 1);
-                            if shared.cfg.resilience {
-                                if let Some(breaker) = shared.breakers.get(&jcity) {
-                                    breaker.release();
-                                }
-                            }
+                            shared.note_shed(&jcity);
                             send(
                                 &jwriter,
                                 &error_response(
@@ -993,6 +1002,24 @@ fn worker_loop(shared: &Arc<Shared>) -> WorkerExit {
                 }
             }
         }
+    }
+}
+
+/// Longest a parked worker waits for a shed before giving up.
+const MAX_PARK: Duration = Duration::from_secs(10);
+
+/// Holds the calling worker until the admission queue sheds a request,
+/// the server drains, or [`MAX_PARK`] passes. Lets a test keep a worker
+/// busy for exactly as long as it takes to observe a shed, with no
+/// dependence on how long real work takes.
+fn park_until_shed(shared: &Shared) {
+    let sheds = shared.sheds.load(Ordering::SeqCst);
+    let parked = Instant::now();
+    while shared.sheds.load(Ordering::SeqCst) == sheds
+        && !shared.draining()
+        && parked.elapsed() < MAX_PARK
+    {
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -1040,19 +1067,21 @@ fn process_job(
             return (JobOutcome::QueueExpired, timed_out_payload(&job));
         }
     }
-    if job.request.inject_panic {
-        if shared.cfg.fault_injection {
-            // The chaos tests and `resilience_proof` exercise the
-            // supervisor through this: a real unwind from request
-            // depth, caught by the worker's per-job boundary.
-            panic!("injected worker panic (fault injection)");
+    match job.request.inject {
+        None => {}
+        Some(_) if !shared.cfg.fault_injection => {
+            obs::inc("serve.requests.error");
+            record_latency(&job);
+            return (
+                JobOutcome::Error,
+                error_response(id, "fault injection is disabled on this server", None),
+            );
         }
-        obs::inc("serve.requests.error");
-        record_latency(&job);
-        return (
-            JobOutcome::Error,
-            error_response(id, "fault injection is disabled on this server", None),
-        );
+        // The chaos tests and `resilience_proof` exercise the
+        // supervisor through this: a real unwind from request depth,
+        // caught by the worker's per-job boundary.
+        Some(Injection::Panic) => panic!("injected worker panic (fault injection)"),
+        Some(Injection::Park) => park_until_shed(shared),
     }
     let mut exec_timed_out = false;
     let result = {
@@ -1060,17 +1089,16 @@ fn process_job(
         match job.request.kind {
             RequestKind::Route => exec_route(&job, &context_for(&job, batch_ctx, batching)),
             RequestKind::Attack => {
-                // The resident hierarchy rides the same key as the
-                // shared context: batched mode pays the contraction
-                // once per city, unbatched mode stays hierarchy-free
-                // (the byte-identity baseline `serve_load` compares
-                // against — results match either way, pinned by
-                // `ch_equivalence`).
-                let hierarchy = batching.then(|| job.resident.hierarchy().clone());
+                // Every attack prunes through the city's resident
+                // hierarchy (contracted once per city, on first use),
+                // with batching on or off, so the batching comparison
+                // in `serve_load` measures context sharing alone.
+                // Records match with or without a hierarchy, pinned by
+                // `ch_equivalence`.
                 exec_attack(
                     &job,
                     &context_for(&job, batch_ctx, batching),
-                    hierarchy.as_ref(),
+                    job.resident.hierarchy(),
                     now,
                 )
                 .map(|(value, timed_out)| {
@@ -1207,7 +1235,7 @@ fn exec_route(job: &Job, ctx: &Arc<TargetContext>) -> Result<JsonValue, String> 
 fn exec_attack(
     job: &Job,
     ctx: &Arc<TargetContext>,
-    hierarchy: Option<&Arc<NetworkHierarchy>>,
+    hierarchy: &Arc<NetworkHierarchy>,
     now: Instant,
 ) -> Result<(JsonValue, bool), String> {
     let req = &job.request;
@@ -1215,7 +1243,7 @@ fn exec_attack(
         deadline: job.deadline.map(|d| d.saturating_duration_since(now)),
         ..RunLimits::default()
     };
-    let mut problem = AttackProblem::with_path_rank_in(
+    let problem = AttackProblem::with_path_rank_in(
         job.resident.net(),
         req.weight,
         req.cost,
@@ -1225,10 +1253,8 @@ fn exec_attack(
         ctx,
     )
     .map_err(|e| e.to_string())?
-    .with_limits(limits);
-    if let Some(h) = hierarchy {
-        problem = problem.with_hierarchy(h);
-    }
+    .with_limits(limits)
+    .with_hierarchy(hierarchy);
     let algorithm = algorithm_by_name(&req.algorithm)?;
     let out = algorithm.attack(&problem);
     if out.status == AttackStatus::TimedOut {
@@ -1655,7 +1681,7 @@ impl Client {
     /// Propagates the connect failure.
     pub fn connect(addr: &SocketAddr) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
+        configure_stream(&stream)?;
         Ok(Client { stream })
     }
 

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 fn panic_request(id: u64) -> Request {
     let mut req = Request::new(id, RequestKind::Route, "boston");
     req.source = 3;
-    req.inject_panic = true;
+    req.inject = Some(serve::Injection::Panic);
     req
 }
 

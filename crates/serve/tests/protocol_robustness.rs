@@ -6,11 +6,13 @@
 //! resilient client must absorb the retryable ones.
 
 use serve::{
-    read_frame, write_frame, ChaosPlan, ChaosProxy, ChaosSite, FrameError, Request, RequestKind,
-    ResilientClient, Response, RetryPolicy, Server, ServerConfig, MAX_FRAME,
+    read_frame, write_frame, ChaosPlan, ChaosProxy, ChaosSite, Client, FrameError, Injection,
+    Request, RequestKind, ResilientClient, Response, RetryBudget, RetryPolicy, Server,
+    ServerConfig, MAX_FRAME,
 };
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn tiny_server() -> Server {
     Server::start(ServerConfig {
@@ -225,42 +227,75 @@ fn corrupted_request_gets_structured_checksum_error() {
     server.shutdown();
 }
 
+/// Polls `stats` until the admission queue is empty.
+fn wait_for_empty_queue(control: &mut Client) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let resp = control
+            .roundtrip(&Request::new(1, RequestKind::Stats, ""))
+            .expect("stats roundtrip");
+        let depth = resp
+            .result
+            .as_ref()
+            .and_then(|r| r.get("queue_depth"))
+            .and_then(obs::JsonValue::as_u64);
+        if depth == Some(0) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "queue depth stuck at {depth:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn shed_request_is_retried_after_the_hint_and_succeeds() {
-    // One worker, one queue slot: three pipelined heavy impact
-    // simulations leave the worker busy and the queue full, so the
-    // client's request is shed with a retry hint; honoring it must
-    // eventually succeed.
+    // One worker, one queue slot. The worker is parked by an injected
+    // fault until the queue sheds a request, and a filler job holds the
+    // only slot, so the client's first attempt is shed with a retry
+    // hint; the shed releases the worker, and honoring the hint must
+    // then succeed. No step depends on how long real work takes.
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         cities: vec!["boston".to_string()],
         workers: 1,
         queue_depth: 1,
         retry_after_ms: 20,
+        fault_injection: true,
         ..ServerConfig::default()
     })
     .expect("server starts");
+    let mut control = Client::connect(&server.local_addr()).unwrap();
     let mut hog = TcpStream::connect(server.local_addr()).unwrap();
-    for (i, source) in [3usize, 5, 11].into_iter().enumerate() {
-        let mut req = Request::new(20 + i as u64, RequestKind::Impact, "boston");
-        req.source = source;
-        req.rank = 4;
-        req.trips = 120;
-        write_frame(&mut hog, &req.to_payload()).unwrap();
-    }
+    let mut park = Request::new(20, RequestKind::Route, "boston");
+    park.source = 3;
+    park.inject = Some(Injection::Park);
+    write_frame(&mut hog, &park.to_payload()).unwrap();
+    // A connection's frames are handled in order and ping is answered
+    // inline, so the pong proves the park job was admitted; an empty
+    // queue after that proves the worker took it.
+    ping_ok(&mut hog, 40);
+    wait_for_empty_queue(&mut control);
+    let mut filler = Request::new(21, RequestKind::Route, "boston");
+    filler.source = 5;
+    write_frame(&mut hog, &filler.to_payload()).unwrap();
+    ping_ok(&mut hog, 41); // the filler now holds the only slot
+
+    let max_attempts = 200;
     let mut client = ResilientClient::new(
         &server.local_addr().to_string(),
         RetryPolicy {
-            // Poll tightly: the hint (20 ms) dominates the backoff.
-            // The attempts budget is deliberately deep — on a loaded
-            // machine the debug-build impact backlog can take many
-            // seconds to drain, and the call returns the moment the
-            // queue frees, so the ceiling is only a safety net.
-            max_attempts: 1000,
-            max_backoff: std::time::Duration::from_millis(50),
+            // Poll tightly: the hint (20 ms) dominates the backoff. The
+            // attempt cap only bounds a debug build on a loaded host
+            // draining the park and filler jobs; the call returns as
+            // soon as the queue frees.
+            max_attempts,
+            max_backoff: Duration::from_millis(50),
             ..RetryPolicy::default()
         },
-    );
+    )
+    // One retry token per attempt, so the budget never ends the call
+    // before the attempt cap does.
+    .with_budget(RetryBudget::new(max_attempts as f64, 0.0));
     let mut req = Request::new(30, RequestKind::Route, "boston");
     req.source = 17;
     let call = client.call(&req).expect("shed request clears on retry");
@@ -275,5 +310,12 @@ fn shed_request_is_retried_after_the_hint_and_succeeds() {
         call.attempts
     );
     assert!(client.retries() >= 1);
+    // The parked and filler jobs are answered too, in order.
+    for id in [20, 21] {
+        let resp = Response::parse(&read_frame(&mut hog).unwrap()).unwrap();
+        assert!(resp.ok, "job {id} failed: {:?}", resp.error);
+        assert_eq!(resp.id, id);
+    }
+    drop((hog, control, client));
     server.shutdown();
 }

@@ -507,3 +507,34 @@ fn health_reports_pool_breakers_and_drain_state() {
     assert_eq!(state, Some("closed"));
     server.shutdown();
 }
+
+#[test]
+fn sequential_pings_on_one_connection_are_not_stalled_by_the_transport() {
+    // Ping is answered inline by the connection's reader, so its round
+    // trip is almost pure transport. When Nagle's algorithm holds a
+    // frame's payload back behind its separately written header, each
+    // round trip waits out the peer's delayed ACK (~40 ms on Linux);
+    // without that stall it is well under a millisecond even in a
+    // debug build.
+    let server = server_with(true, 1);
+    let mut client = Client::connect(&server.local_addr()).unwrap();
+    let mut samples: Vec<std::time::Duration> = (0..30u64)
+        .map(|id| {
+            let sent = std::time::Instant::now();
+            let resp = client
+                .roundtrip(&Request::new(id, RequestKind::Ping, ""))
+                .expect("ping roundtrip");
+            let rtt = sent.elapsed();
+            assert!(resp.ok && resp.id == id, "ping {id}: {:?}", resp.error);
+            rtt
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median ping round trip {median:?} (all: {samples:?})"
+    );
+    drop(client);
+    server.shutdown();
+}
