@@ -6,7 +6,7 @@ use citygen::{CityPreset, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lp::{ConstraintOp, Problem as LpProblem};
 use pathattack::WeightType;
-use routing::{bidirectional_shortest_path, k_shortest_paths, AStar, Dijkstra};
+use routing::{k_shortest_paths, AStar, Dijkstra};
 use std::time::Duration;
 use traffic_graph::{
     edge_betweenness, eigenvector_centrality, isolate_area, GraphView, NodeId, PoiKind, RoadNetwork,
@@ -53,49 +53,11 @@ fn routing_primitives(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("bidirectional_dijkstra", |b| {
-        b.iter(|| bidirectional_shortest_path(&view, |e| weight[e.index()], source, hospital))
-    });
     for k in [10usize, 50] {
         g.bench_with_input(BenchmarkId::new("yen_k_shortest", k), &k, |b, &k| {
             b.iter(|| k_shortest_paths(&view, |e| weight[e.index()], source, hospital, k))
         });
     }
-    g.finish();
-
-    // CH: preprocessing once, then point queries vs Dijkstra/ALT.
-    let mut g = c.benchmark_group("routing_ch");
-    configure(&mut g);
-    g.bench_function("ch_preprocess", |b| {
-        b.iter(|| routing::ContractionHierarchy::build(&view, |e| weight[e.index()]))
-    });
-    let ch = routing::ContractionHierarchy::build(&view, |e| weight[e.index()]);
-    g.bench_function("ch_distance_query", |b| {
-        b.iter(|| ch.distance(source, hospital))
-    });
-    let lm = routing::Landmarks::build(&view, |e| weight[e.index()], 6);
-    g.bench_function("alt_landmark_query", |b| {
-        b.iter(|| lm.shortest_path(&view, |e| weight[e.index()], source, hospital))
-    });
-    g.bench_function("dijkstra_distance_query", |b| {
-        let mut dij = Dijkstra::new(net.num_nodes());
-        b.iter(|| {
-            dij.shortest_path(&view, |e| weight[e.index()], source, hospital)
-                .map(|p| p.total_weight())
-        })
-    });
-    let penalty = routing::standard_turn_model(&net, 5.0);
-    g.bench_function("turn_aware_query", |b| {
-        b.iter(|| {
-            routing::turn_aware_shortest_path(
-                &view,
-                |e| weight[e.index()],
-                &penalty,
-                source,
-                hospital,
-            )
-        })
-    });
     g.finish();
 }
 

@@ -1,34 +1,34 @@
 //! Shared per-city customizable contraction hierarchy.
 //!
-//! A [`NetworkHierarchy`] bundles the frozen CSR substrate
-//! ([`traffic_graph::FrozenGraph`]) with the metric-independent CCH
-//! topology ([`routing::Cch`]) and a small cache of customized metrics,
-//! one per weight vector. It is the unit `serve` keeps resident per
-//! city and the thing an [`crate::AttackProblem`] attaches via
-//! [`crate::AttackProblem::with_hierarchy`]: oracles built from such a
-//! problem prune their searches with hierarchy-backed exact distances
-//! instead of a decrementally repaired Dijkstra table.
+//! A [`NetworkHierarchy`] bundles the metric-independent CCH topology
+//! ([`routing::Cch`]) with a small cache of customized metrics, one per
+//! weight vector.
+//!
+//! Attacks do not use it. [`crate::Oracle`] prunes with
+//! [`routing::RepairTable`] alone, which beat the hierarchy-backed
+//! table at every scale measured, and `serve` keeps no hierarchy. The
+//! type stays only because two measurements still call
+//! [`NetworkHierarchy::build`] and [`NetworkHierarchy::metric_for`]:
+//! the `perf_ch` bench and the benchmark's set-up side measurement. It
+//! goes once the benchmark drops that measurement.
 //!
 //! Metrics are cached by the *identity* of the weight vector (the
-//! `Arc`'s pointer), which matches how weights flow through this crate:
-//! problems sharing a [`crate::TargetContext`] share one `Arc<Vec<f64>>`
-//! per weight model, so the expensive full customization runs once per
-//! `(city, weight model)` and every later problem reuses it. The cache
-//! holds the `Arc`s it keys on, so a pointer can never be recycled
-//! while its entry lives.
+//! `Arc`'s pointer): passing the same `Arc<Vec<f64>>` again reuses the
+//! customization, while a fresh copy of equal weights customizes anew.
+//! The cache holds the `Arc`s it keys on, so a pointer can never be
+//! recycled while its entry lives.
 
-use routing::{Cch, CchMetric, CchRevTable};
+use routing::{Cch, CchMetric};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use traffic_graph::{FrozenGraph, NodeId, RoadNetwork};
+use traffic_graph::{FrozenGraph, RoadNetwork};
 
 /// Customized-metric cache entry: the weight vector the key points at
 /// (held so the pointer can't be recycled) plus its metric.
 type MetricEntry = (Arc<Vec<f64>>, Arc<CchMetric>);
 
-/// Resident routing core for one city: frozen CSR substrate, CCH
-/// topology, and customized metrics keyed by weight vector.
+/// Routing core for one city: CCH topology and customized metrics keyed
+/// by weight vector.
 ///
 /// # Examples
 ///
@@ -43,15 +43,8 @@ type MetricEntry = (Arc<Vec<f64>>, Arc<CchMetric>);
 /// assert!(h.bytes_resident() > 0);
 /// ```
 pub struct NetworkHierarchy {
-    frozen: FrozenGraph,
-    cch: Arc<Cch>,
+    cch: Cch,
     metrics: Mutex<HashMap<usize, MetricEntry>>,
-    /// Intact-network prototype tables keyed by `(weight ptr, target)`.
-    /// A fresh table costs a full descending sweep over all arcs; a
-    /// clone of the swept prototype costs `O(nodes)`, so every oracle
-    /// after the first for the same `(weight, target)` starts warm.
-    rev_protos: Mutex<HashMap<(usize, u32), CchRevTable>>,
-    customizations: AtomicU64,
 }
 
 impl std::fmt::Debug for NetworkHierarchy {
@@ -59,7 +52,6 @@ impl std::fmt::Debug for NetworkHierarchy {
         f.debug_struct("NetworkHierarchy")
             .field("nodes", &self.num_nodes())
             .field("arcs", &self.num_arcs())
-            .field("customizations", &self.customizations())
             .finish()
     }
 }
@@ -69,24 +61,14 @@ impl NetworkHierarchy {
     /// The expensive step — run once per city and share the result.
     pub fn build(net: &RoadNetwork) -> Self {
         let _timer = obs::span("pathattack.hierarchy.build");
-        let frozen = FrozenGraph::freeze(net);
-        let cch = Arc::new(Cch::build(&frozen));
         NetworkHierarchy {
-            frozen,
-            cch,
+            cch: Cch::build(&FrozenGraph::freeze(net)),
             metrics: Mutex::new(HashMap::new()),
-            rev_protos: Mutex::new(HashMap::new()),
-            customizations: AtomicU64::new(0),
         }
     }
 
-    /// The frozen CSR substrate.
-    pub fn frozen(&self) -> &FrozenGraph {
-        &self.frozen
-    }
-
     /// The metric-independent hierarchy topology.
-    pub fn cch(&self) -> &Arc<Cch> {
+    pub fn cch(&self) -> &Cch {
         &self.cch
     }
 
@@ -100,14 +82,7 @@ impl NetworkHierarchy {
         self.cch.num_arcs()
     }
 
-    /// Full customizations run so far (cache misses in
-    /// [`NetworkHierarchy::metric_for`]).
-    pub fn customizations(&self) -> u64 {
-        self.customizations.load(Ordering::Relaxed)
-    }
-
-    /// Heap bytes held by the substrate, the topology, and every cached
-    /// metric — what `serve` reports per resident city.
+    /// Heap bytes held by the topology and every cached metric.
     pub fn bytes_resident(&self) -> usize {
         let metrics: usize = self
             .metrics
@@ -116,19 +91,12 @@ impl NetworkHierarchy {
             .values()
             .map(|(w, m)| w.len() * 8 + m.bytes_resident())
             .sum();
-        let protos: usize = self
-            .rev_protos
-            .lock()
-            .expect("hierarchy rev-table cache poisoned")
-            .values()
-            .map(|t| t.bytes_resident())
-            .sum();
-        self.frozen.bytes_resident() + self.cch.bytes_resident() + metrics + protos
+        self.cch.bytes_resident() + metrics
     }
 
     /// The intact-network metric for `weights`, customizing on first
-    /// use. Keyed by the `Arc`'s pointer identity: pass the problem's
-    /// shared weight vector, not a fresh copy, to hit the cache.
+    /// use. Keyed by the `Arc`'s pointer identity: pass the same vector
+    /// again, not a fresh copy, to hit the cache.
     pub fn metric_for(&self, weights: &Arc<Vec<f64>>) -> Arc<CchMetric> {
         let key = Arc::as_ptr(weights) as usize;
         let mut cache = self
@@ -140,34 +108,8 @@ impl NetworkHierarchy {
             return metric.clone();
         }
         obs::inc("pathattack.reuse.cch_metric.miss");
-        self.customizations.fetch_add(1, Ordering::Relaxed);
         let metric = Arc::new(self.cch.customize(|e| weights[e.index()]));
         cache.insert(key, (weights.clone(), metric.clone()));
         metric
-    }
-
-    /// A hierarchy-backed one-to-all reverse table toward `target`,
-    /// ready for [`routing::CchRevTable::sync`] against mutated views.
-    /// The intact-network sweep runs once per `(weight, target)`; later
-    /// calls clone the cached prototype in `O(nodes)`.
-    pub fn rev_table(&self, weights: &Arc<Vec<f64>>, target: NodeId) -> CchRevTable {
-        let key = (Arc::as_ptr(weights) as usize, target.index() as u32);
-        if let Some(proto) = self
-            .rev_protos
-            .lock()
-            .expect("hierarchy rev-table cache poisoned")
-            .get(&key)
-        {
-            obs::inc("pathattack.reuse.cch_rev.hit");
-            return proto.clone();
-        }
-        obs::inc("pathattack.reuse.cch_rev.miss");
-        let metric = self.metric_for(weights);
-        let table = CchRevTable::new(self.cch.clone(), metric, target, self.frozen.num_edges());
-        self.rev_protos
-            .lock()
-            .expect("hierarchy rev-table cache poisoned")
-            .insert(key, table.clone());
-        table
     }
 }

@@ -1,9 +1,9 @@
 //! The shared priority-queue entry of every search in this crate.
 //!
-//! Dijkstra, A\*, the bidirectional searcher, contraction hierarchies
-//! and the decremental repair layer all drive a `BinaryHeap` keyed by a
-//! tentative f64 distance. They previously each carried a private copy
-//! of the same entry struct; this module is the one definition.
+//! Dijkstra, A\* and the decremental repair layer all drive a
+//! `BinaryHeap` keyed by a tentative f64 distance. They previously each
+//! carried a private copy of the same entry struct; this module is the
+//! one definition.
 //!
 //! The ordering is **total** and ties are broken by node id. Totality
 //! matters beyond deduplication: with a distance-only comparison, the

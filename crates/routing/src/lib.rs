@@ -9,11 +9,16 @@
 //!   stamped buffers (the attack inner loop).
 //! - [`AStar`] — heuristic-guided point-to-point search; paired with
 //!   exact reverse distances it accelerates Yen's spur searches.
-//! - [`bidirectional_shortest_path`] — meet-in-the-middle point queries.
+//! - [`RepairTable`] — exact distances to the target on a view with
+//!   edges removed, repaired decrementally after each cut. It is the
+//!   one distance table the attack oracle prunes its searches with.
 //! - [`k_shortest_paths`] / [`kth_shortest_path`] — Yen's algorithm with
 //!   Lawler's optimization, used to pick the paper's alternative route
 //!   `p*` (the 100th shortest path) and the Table X thresholds.
 //! - [`Path`] — immutable path values with weight accounting.
+//! - [`Cch`] — a customizable contraction hierarchy. No attack, sweep
+//!   or serve path uses it; it stays only for the `perf_ch` bench and
+//!   the benchmark's set-up side measurement.
 //!
 //! # Examples
 //!
@@ -43,32 +48,24 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod alt;
 mod astar;
-mod bidirectional;
 mod cancel;
 mod cch;
-mod ch;
 mod dijkstra;
 mod heap;
 mod overlay;
 mod path;
 mod repair;
 mod scratch;
-mod turns;
 mod yen;
 
-pub use alt::Landmarks;
 pub use astar::AStar;
-pub use bidirectional::bidirectional_shortest_path;
 pub use cancel::{CancelToken, CHECK_STRIDE};
-pub use cch::{Cch, CchMetric, CchRevTable, CchSearch, CchSyncOutcome};
-pub use ch::ContractionHierarchy;
+pub use cch::{Cch, CchMetric, CchSearch};
 pub use dijkstra::{Dijkstra, Direction};
 pub use heap::{HeapEntry, NO_EDGE};
 pub use overlay::WeightOverlay;
 pub use path::{BrokenPathError, Path};
 pub use repair::{RepairOutcome, RepairTable};
 pub use scratch::{acquire_scratch, ScratchGuard, SearchScratch};
-pub use turns::{standard_turn_model, turn_aware_shortest_path, TurnPenalty};
 pub use yen::{k_shortest_paths, k_shortest_paths_with, kth_shortest_path, YenConfig};

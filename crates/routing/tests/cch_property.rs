@@ -7,14 +7,10 @@
 //!
 //! Integer weights make the equality exact rather than approximate:
 //! every path sum stays below 2^53, so `f64` addition is exact and the
-//! minimum is independent of association order. City weights are not
-//! integers, but the oracle contract only needs CCH distances to equal
-//! *repaired-table* distances, which `crates/core/tests/ch_equivalence.rs`
-//! pins end to end; this suite pins the routing-level algebra.
+//! minimum is independent of association order.
 
 use proptest::prelude::*;
-use routing::{CchRevTable, CchSearch, Dijkstra, Direction, WeightOverlay};
-use std::sync::Arc;
+use routing::{CchSearch, Dijkstra, Direction, WeightOverlay};
 use traffic_graph::{
     EdgeAttrs, EdgeId, FrozenGraph, GraphView, NodeId, Point, RoadClass, RoadNetwork,
     RoadNetworkBuilder,
@@ -162,107 +158,6 @@ proptest! {
                     "overlay target {} node {}: {} != {}", t, s, incremental[s], out[s]
                 );
             }
-        }
-    }
-
-    #[test]
-    fn rev_table_matches_fresh_backward_dijkstra(
-        (n, arcs, removals, _) in instances()
-    ) {
-        // The sync discipline end to end: removals arrive via view diffs,
-        // restores force a reset from the intact baseline, and after
-        // every sync the table equals a fresh backward Dijkstra.
-        let net = network_from(n, &arcs);
-        let frozen = FrozenGraph::freeze(&net);
-        let cch = Arc::new(routing::Cch::build(&frozen));
-        let metric = Arc::new(cch.customize(weight(&net)));
-        let target = NodeId::new(0);
-        let mut view = GraphView::new(&net);
-        let mut table = CchRevTable::new(cch, metric, target, net.num_edges());
-
-        for (step, &r) in removals.iter().enumerate() {
-            view.remove_edge(EdgeId::new(r));
-            table.sync(&view, weight(&net));
-            let fresh = fresh_backward(&net, &view, target);
-            for (v, (&got, &want)) in table.dist().iter().zip(fresh.iter()).enumerate() {
-                prop_assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "node {} after step {}: {} != {}", v, step, got, want
-                );
-            }
-        }
-
-        view.reset();
-        table.sync(&view, weight(&net));
-        let fresh = fresh_backward(&net, &view, target);
-        for (v, (&got, &want)) in table.dist().iter().zip(fresh.iter()).enumerate() {
-            prop_assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "node {} after reset: {} != {}", v, got, want
-            );
-        }
-    }
-
-    #[test]
-    fn demoted_rev_table_matches_fresh_backward_dijkstra(
-        (n, arcs, removals, _) in instances()
-    ) {
-        // A zero sync budget forces the first changed sync onto the
-        // repair fallback. Whether the table demotes with an attached
-        // intact-view baseline or has to sweep its own, every later
-        // sync — removals and the final full restore — must still be
-        // bit-identical to a fresh backward Dijkstra.
-        let net = network_from(n, &arcs);
-        let frozen = FrozenGraph::freeze(&net);
-        let cch = Arc::new(routing::Cch::build(&frozen));
-        let metric = Arc::new(cch.customize(weight(&net)));
-        let target = NodeId::new(0);
-        let mut view = GraphView::new(&net);
-        let mut owned = CchRevTable::new(cch.clone(), metric.clone(), target, net.num_edges());
-        owned.set_sync_budget(0);
-        let mut seeded = CchRevTable::new(cch, metric, target, net.num_edges());
-        seeded.set_sync_budget(0);
-        let (bd, bp) = Dijkstra::new(n).distances_and_parents(
-            &view, weight(&net), target, Direction::Backward,
-        );
-        seeded.set_fallback_baseline(Arc::new(bd), Arc::new(bp));
-
-        for (step, &r) in removals.iter().enumerate() {
-            view.remove_edge(EdgeId::new(r));
-            let a = owned.sync(&view, weight(&net));
-            let b = seeded.sync(&view, weight(&net));
-            // A changed sync may still finish incrementally when the
-            // edge has no chordal arc (a self-loop recomputes zero
-            // arcs); any sync that did arc work demotes under budget 0.
-            prop_assert!(
-                !a.changed || a.fallback || a.arcs_recomputed == 0,
-                "step {} stayed incremental past the budget", step
-            );
-            prop_assert_eq!(a, b, "outcomes diverged at step {}", step);
-            let fresh = fresh_backward(&net, &view, target);
-            for (v, want) in fresh.iter().enumerate() {
-                prop_assert_eq!(
-                    owned.dist()[v].to_bits(),
-                    want.to_bits(),
-                    "owned node {} after step {}", v, step
-                );
-                prop_assert_eq!(
-                    seeded.dist()[v].to_bits(),
-                    want.to_bits(),
-                    "seeded node {} after step {}", v, step
-                );
-            }
-        }
-
-        view.reset();
-        owned.sync(&view, weight(&net));
-        seeded.sync(&view, weight(&net));
-        let fresh = fresh_backward(&net, &view, target);
-        for (v, want) in fresh.iter().enumerate() {
-            prop_assert_eq!(owned.dist()[v].to_bits(), want.to_bits(), "owned node {}", v);
-            prop_assert_eq!(seeded.dist()[v].to_bits(), want.to_bits(), "seeded node {}", v);
         }
     }
 }

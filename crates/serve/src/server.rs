@@ -59,8 +59,7 @@ use obs::{AttrValue, JsonValue};
 use parking_lot::Mutex;
 use pathattack::{
     AttackAlgorithm, AttackProblem, AttackStatus, GreedyBetweenness, GreedyEdge, GreedyEig,
-    GreedyPathCover, LpPathCover, LpPerturb, NetworkHierarchy, PerturbProblem, RunLimits,
-    TargetContext,
+    GreedyPathCover, LpPathCover, LpPerturb, PerturbProblem, RunLimits, TargetContext,
 };
 use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -1088,24 +1087,11 @@ fn process_job(
         let _exec = obs::trace::span("exec");
         match job.request.kind {
             RequestKind::Route => exec_route(&job, &context_for(&job, batch_ctx, batching)),
-            RequestKind::Attack => {
-                // Every attack prunes through the city's resident
-                // hierarchy (contracted once per city, on first use),
-                // with batching on or off, so the batching comparison
-                // in `serve_load` measures context sharing alone.
-                // Records match with or without a hierarchy, pinned by
-                // `ch_equivalence`.
-                exec_attack(
-                    &job,
-                    &context_for(&job, batch_ctx, batching),
-                    job.resident.hierarchy(),
-                    now,
-                )
+            RequestKind::Attack => exec_attack(&job, &context_for(&job, batch_ctx, batching), now)
                 .map(|(value, timed_out)| {
                     exec_timed_out = timed_out;
                     value
-                })
-            }
+                }),
             RequestKind::Perturb => {
                 exec_perturb(&job, &context_for(&job, batch_ctx, batching), now).map(
                     |(value, timed_out)| {
@@ -1235,7 +1221,6 @@ fn exec_route(job: &Job, ctx: &Arc<TargetContext>) -> Result<JsonValue, String> 
 fn exec_attack(
     job: &Job,
     ctx: &Arc<TargetContext>,
-    hierarchy: &Arc<NetworkHierarchy>,
     now: Instant,
 ) -> Result<(JsonValue, bool), String> {
     let req = &job.request;
@@ -1253,8 +1238,7 @@ fn exec_attack(
         ctx,
     )
     .map_err(|e| e.to_string())?
-    .with_limits(limits)
-    .with_hierarchy(hierarchy);
+    .with_limits(limits);
     let algorithm = algorithm_by_name(&req.algorithm)?;
     let out = algorithm.attack(&problem);
     if out.status == AttackStatus::TimedOut {
@@ -1470,29 +1454,12 @@ fn health_result(shared: &Shared) -> JsonValue {
         "restarts".to_string(),
         JsonValue::Num(shared.restarts.load(Ordering::SeqCst) as f64),
     );
-    // Resident-hierarchy footprint: how many cities have paid the
-    // contraction and how much memory the hierarchies pin.
-    let (mut resident, mut bytes) = (0usize, 0usize);
-    for name in shared.registry.names() {
-        if let Some(h) = shared
-            .registry
-            .get(name)
-            .and_then(|r| r.hierarchy_if_built())
-        {
-            resident += 1;
-            bytes += h.bytes_resident();
-        }
-    }
-    let mut hierarchies = BTreeMap::new();
-    hierarchies.insert("resident".to_string(), JsonValue::Num(resident as f64));
-    hierarchies.insert("bytes_resident".to_string(), JsonValue::Num(bytes as f64));
     let mut obj = BTreeMap::new();
     obj.insert("status".to_string(), JsonValue::Str(status.to_string()));
     obj.insert("draining".to_string(), JsonValue::Bool(draining));
     obj.insert("escalated".to_string(), JsonValue::Bool(escalated));
     obj.insert("workers".to_string(), JsonValue::Obj(workers));
     obj.insert("breakers".to_string(), JsonValue::Obj(breakers));
-    obj.insert("hierarchies".to_string(), JsonValue::Obj(hierarchies));
     JsonValue::Obj(obj)
 }
 
@@ -1524,21 +1491,6 @@ fn stats_result(shared: &Shared) -> JsonValue {
         "pathattack.reuse.repair.hit",
         "pathattack.reuse.repair.full_fallback",
         "routing.repair.nodes_resettled",
-        "pathattack.reuse.cch_metric.hit",
-        "pathattack.reuse.cch_metric.miss",
-        "pathattack.reuse.cch_rev.hit",
-        "pathattack.reuse.cch_rev.miss",
-        "pathattack.reuse.cch.sync",
-        "pathattack.reuse.cch.reset",
-        "pathattack.reuse.cch.fallback",
-        "routing.cch.customizations",
-        "routing.cch.recustomizations",
-        "routing.cch.arcs_recomputed",
-        "routing.cch.resyncs",
-        "routing.cch.resets",
-        "routing.cch.rev_nodes_recomputed",
-        "routing.cch.rev_arcs_recomputed",
-        "routing.cch.rev_fallbacks",
     ] {
         counters.insert(
             name.to_string(),
@@ -1581,35 +1533,6 @@ fn stats_result(shared: &Shared) -> JsonValue {
     );
     obj.insert("batching".to_string(), JsonValue::Bool(shared.cfg.batching));
     obj.insert("draining".to_string(), JsonValue::Bool(shared.draining()));
-    // Per-city resident hierarchy state; cities whose hierarchy no
-    // request has built yet are omitted (reporting must never pay the
-    // contraction itself).
-    let mut hierarchies = BTreeMap::new();
-    for name in shared.registry.names() {
-        let Some(h) = shared
-            .registry
-            .get(name)
-            .and_then(|r| r.hierarchy_if_built())
-        else {
-            continue;
-        };
-        let mut hobj = BTreeMap::new();
-        hobj.insert("nodes".to_string(), JsonValue::Num(h.num_nodes() as f64));
-        hobj.insert(
-            "shortcut_arcs".to_string(),
-            JsonValue::Num(h.num_arcs() as f64),
-        );
-        hobj.insert(
-            "customizations".to_string(),
-            JsonValue::Num(h.customizations() as f64),
-        );
-        hobj.insert(
-            "bytes_resident".to_string(),
-            JsonValue::Num(h.bytes_resident() as f64),
-        );
-        hierarchies.insert(name.clone(), JsonValue::Obj(hobj));
-    }
-    obj.insert("hierarchies".to_string(), JsonValue::Obj(hierarchies));
     obj.insert("counters".to_string(), JsonValue::Obj(counters));
     obj.insert("batch_size".to_string(), hist("serve.batch.size"));
     obj.insert("latency_us".to_string(), hist("serve.latency_us"));

@@ -16,8 +16,8 @@
 //!
 //! - [`graph`] — road-network storage, removal masks, centrality, flow
 //!   ([`traffic_graph`]).
-//! - [`routing`] — Dijkstra / A\* / bidirectional / Yen's k-shortest
-//!   paths.
+//! - [`routing`] — Dijkstra / A\* / Yen's k-shortest paths, plus the
+//!   decremental distance repair the attack oracle prunes with.
 //! - [`lp`] — the two-phase simplex solver behind `LP-PathCover`.
 //! - [`osm`] — OpenStreetMap XML import.
 //! - [`citygen`] — synthetic city generators with Boston / San Francisco
@@ -80,8 +80,8 @@ pub mod prelude {
         LpPerturb, PerturbOracle, PerturbProblem, PerturbResult, Rounding, RunLimits, WeightType,
     };
     pub use routing::{
-        bidirectional_shortest_path, k_shortest_paths, k_shortest_paths_with, kth_shortest_path,
-        AStar, Dijkstra, Direction, Landmarks, Path, YenConfig,
+        k_shortest_paths, k_shortest_paths_with, kth_shortest_path, AStar, Dijkstra, Direction,
+        Path, YenConfig,
     };
     pub use traffic_graph::{
         average_circuity, edge_betweenness, eigenvector_centrality, is_reachable,

@@ -190,36 +190,6 @@ fn impact_of_real_attack_is_nonnegative_and_bounded() {
 }
 
 #[test]
-fn ch_and_landmarks_agree_with_dijkstra_on_presets() {
-    let city = CityPreset::Boston.build(Scale::Small, 41);
-    let view = GraphView::new(&city);
-    let w = WeightType::Time.compute(&city);
-    let weight = |e: EdgeId| w[e.index()];
-    let ch = routing::ContractionHierarchy::build(&view, weight);
-    let lm = routing::Landmarks::build(&view, weight, 4);
-    let mut dij = Dijkstra::new(city.num_nodes());
-    for (si, ti) in [(0usize, 50usize), (10, 200), (77, 402), (300, 5)] {
-        let s = NodeId::new(si % city.num_nodes());
-        let t = NodeId::new(ti % city.num_nodes());
-        let exact = dij
-            .shortest_path(&view, weight, s, t)
-            .map(|p| p.total_weight());
-        let via_ch = ch.distance(s, t);
-        let via_lm = lm
-            .shortest_path(&view, weight, s, t)
-            .map(|p| p.total_weight());
-        match (exact, via_ch, via_lm) {
-            (Some(a), Some(b), Some(c)) => {
-                assert!((a - b).abs() < 1e-6, "CH mismatch: {a} vs {b}");
-                assert!((a - c).abs() < 1e-6, "ALT mismatch: {a} vs {c}");
-            }
-            (None, None, None) => {}
-            other => panic!("reachability mismatch: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn rank_sweep_on_preset_is_monotone_in_detour() {
     let city = CityPreset::Chicago.build(Scale::Small, 43);
     let hospital = city.pois_of_kind(PoiKind::Hospital).next().unwrap().node;
