@@ -1,8 +1,8 @@
 //! The `LP-Perturb` algorithm: minimum-cost weight perturbation by
 //! constraint generation.
 
-use crate::perturb::{PerturbOracle, PerturbProblem, PerturbResult};
-use crate::{faults, AttackStatus, Degradation};
+use crate::perturb::{PerturbProblem, PerturbResult};
+use crate::{faults, AttackStatus, Degradation, Oracle};
 use lp::{ConstraintOp, Outcome, Problem as LpProblem};
 use routing::{Path, WeightOverlay};
 use std::collections::HashMap;
@@ -42,7 +42,8 @@ enum PerturbRelaxation {
 /// [`crate::LpPathCover`]: only paths actually discovered as
 /// *violating* become LP rows. Each round:
 ///
-/// 1. the [`PerturbOracle`] searches under `base + overlay`; if no
+/// 1. the [`Oracle`] searches under `base + overlay`
+///    ([`Oracle::next_violating_perturbed`]); if no
 ///    violating path remains, the attack succeeded;
 /// 2. the new violating path `p` adds the row
 ///    `Σ_{e ∈ p, perturbable} δ_e ≥ clearance − w_base(p)` (clearance
@@ -244,7 +245,7 @@ impl LpPerturb {
         let started = Instant::now();
         let inner = problem.inner();
         let net = inner.network();
-        let mut oracle = PerturbOracle::new(problem);
+        let mut oracle = Oracle::new(inner);
         let mut overlay = WeightOverlay::new(net.num_edges());
         let mut constraints: Vec<(Path, f64)> = Vec::new();
         let mut degraded = Degradation::None;
@@ -252,7 +253,7 @@ impl LpPerturb {
         let clearance = problem.clearance_weight();
 
         let status = loop {
-            match oracle.next_violating(problem, &overlay) {
+            match oracle.next_violating_perturbed(inner, &overlay) {
                 None if oracle.interrupted() => break AttackStatus::TimedOut,
                 None => break AttackStatus::Success,
                 Some(p) => {
@@ -344,9 +345,9 @@ impl LpPerturb {
             let within_budget = inner
                 .budget()
                 .is_none_or(|b| Self::overlay_cost(problem, &rounded) <= b + 1e-9);
-            let mut check = PerturbOracle::new(problem);
+            let mut check = Oracle::new(inner);
             let feasible = within_budget
-                && check.next_violating(problem, &rounded).is_none()
+                && check.next_violating_perturbed(inner, &rounded).is_none()
                 && !check.interrupted();
             oracle_calls += check.calls();
             if feasible {

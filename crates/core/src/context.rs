@@ -12,9 +12,9 @@
 //! intact network is therefore an exact table for the pre-attack view
 //! and a consistent (hence admissible) A\* heuristic for every view an
 //! attack derives from it — no later removal can make it overestimate.
-//! Centrality and cost tables depend only on the intact network (and the
-//! weight model), so they are shared across hospitals outright through
-//! the embedded [`NetworkCache`].
+//! Weight, centrality and cost tables depend only on the intact network
+//! (and the weight model), so they are shared across hospitals outright
+//! through the embedded [`NetworkCache`].
 //!
 //! Consumers verify compatibility through [`TargetContext::matches`]
 //! before touching a shared table; a mismatched context silently falls
@@ -47,6 +47,9 @@ pub struct NetworkCache {
     betweenness: KeyedSlot<(usize, WeightType)>,
     /// Per-edge removal costs, one slot per [`CostType`].
     costs: [OnceLock<Arc<Vec<f64>>>; 3],
+    /// Per-edge victim weights, one slot per [`WeightType`]: every
+    /// context of one weight model shares a single vector.
+    weights: [OnceLock<Arc<Vec<f64>>>; 2],
 }
 
 fn cost_slot(cost: CostType) -> usize {
@@ -54,6 +57,13 @@ fn cost_slot(cost: CostType) -> usize {
         CostType::Uniform => 0,
         CostType::Lanes => 1,
         CostType::Width => 2,
+    }
+}
+
+fn weight_slot(weight: WeightType) -> usize {
+    match weight {
+        WeightType::Length => 0,
+        WeightType::Time => 1,
     }
 }
 
@@ -68,6 +78,14 @@ impl NetworkCache {
     pub fn costs(&self, net: &RoadNetwork, cost: CostType) -> Arc<Vec<f64>> {
         self.costs[cost_slot(cost)]
             .get_or_init(|| Arc::new(cost.compute(net)))
+            .clone()
+    }
+
+    /// The per-edge weight table for `weight` on `net`, computing it on
+    /// first use.
+    pub fn weights(&self, net: &RoadNetwork, weight: WeightType) -> Arc<Vec<f64>> {
+        self.weights[weight_slot(weight)]
+            .get_or_init(|| Arc::new(weight.compute(net)))
             .clone()
     }
 
@@ -171,7 +189,7 @@ impl TargetContext {
         target: NodeId,
         cache: Arc<NetworkCache>,
     ) -> Self {
-        let weights = Arc::new(weight.compute(net));
+        let weights = cache.weights(net, weight);
         // The one backward sweep every consumer then shares. The parent
         // edges come along for free and seed decremental repair tables
         // ([`routing::RepairTable`]) on attack-mutated views.
@@ -326,5 +344,24 @@ mod tests {
         let c1 = cache.costs(&net, CostType::Uniform);
         let c2 = cache.costs(&net, CostType::Uniform);
         assert!(Arc::ptr_eq(&c1, &c2));
+    }
+
+    #[test]
+    fn contexts_on_one_cache_share_one_weight_vector() {
+        let net = diamond();
+        let cache = Arc::new(NetworkCache::new());
+        let a =
+            TargetContext::build_with_cache(&net, WeightType::Time, NodeId::new(3), cache.clone());
+        let b =
+            TargetContext::build_with_cache(&net, WeightType::Time, NodeId::new(1), cache.clone());
+        assert!(Arc::ptr_eq(a.weights(), b.weights()));
+        assert!(Arc::ptr_eq(
+            a.weights(),
+            &cache.weights(&net, WeightType::Time)
+        ));
+        let length =
+            TargetContext::build_with_cache(&net, WeightType::Length, NodeId::new(3), cache);
+        assert!(!Arc::ptr_eq(a.weights(), length.weights()));
+        assert_eq!(**length.weights(), WeightType::Length.compute(&net));
     }
 }

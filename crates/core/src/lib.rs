@@ -71,7 +71,7 @@ pub use faults::{FaultPlan, FaultSite};
 pub use hierarchy::NetworkHierarchy;
 pub use limits::RunLimits;
 pub use multi::{coordinated_attack, CoordinatedError, CoordinatedOutcome};
-pub use perturb::{PerturbOracle, PerturbProblem, PerturbResult};
+pub use perturb::{PerturbProblem, PerturbResult};
 pub use problem::{AttackProblem, ProblemError};
 pub use recon::{critical_segments, CriticalSegment};
 pub use result::{AttackOutcome, AttackStatus, Degradation};

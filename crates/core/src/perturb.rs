@@ -11,20 +11,19 @@
 //!   optional integer-rounding post-pass. The cut-cost models
 //!   (UNIFORM/LANES/WIDTH) are reused as *per unit of added weight*
 //!   costs.
-//! - [`PerturbOracle`] answers violating-path queries under a
-//!   [`WeightOverlay`] instead of a mutated view. Perturbations never
-//!   remove edges, so there is nothing for decremental repair to track:
-//!   the modality is repair-invariant by construction, and the intact
-//!   reverse-distance table stays an admissible A\* heuristic because
-//!   deltas are non-negative.
+//! - Violating-path queries go to the same [`crate::Oracle`] the cut
+//!   algorithms use, through [`crate::Oracle::next_violating_perturbed`]:
+//!   it searches the base view under `w + δ` (a [`WeightOverlay`])
+//!   instead of a mutated view. Deltas are non-negative, so the intact
+//!   reverse-distance table stays an admissible A\* heuristic and, with
+//!   repair on, a sound pruning bound.
 //! - [`PerturbResult`] carries the perturbation vector plus enough
 //!   accounting to certify it independently via
 //!   [`PerturbResult::verify`].
 
-use crate::{faults, AttackProblem, AttackStatus, Degradation};
-use routing::{acquire_scratch, CancelToken, Direction, Path, ScratchGuard, WeightOverlay};
+use crate::{AttackProblem, AttackStatus, Degradation, Oracle};
+use routing::WeightOverlay;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Duration;
 use traffic_graph::EdgeId;
 
@@ -224,8 +223,8 @@ impl PerturbResult {
         }
         if self.status == AttackStatus::Success {
             let overlay = self.overlay(inner.network().num_edges());
-            let mut oracle = PerturbOracle::new(problem);
-            if let Some(v) = oracle.next_violating(problem, &overlay) {
+            let mut oracle = Oracle::new(inner);
+            if let Some(v) = oracle.next_violating_perturbed(inner, &overlay) {
                 return Err(format!(
                     "a violating path of perturbed weight {} remains (p* = {})",
                     v.total_weight(),
@@ -240,210 +239,10 @@ impl PerturbResult {
     }
 }
 
-/// Violating-path oracle for perturbation attacks.
-///
-/// Structurally the cut oracle ([`crate::Oracle`]) minus decremental
-/// repair: perturbations never remove edges, so the base view is
-/// searched as-is with the overlay folded into the weight closure. The
-/// reverse-distance table on the *base* weights stays an admissible
-/// A\* heuristic throughout, because deltas only lengthen paths. Run
-/// limits (deadline, oracle-call cap) behave exactly as in the cut
-/// oracle — after a `None`, check [`PerturbOracle::interrupted`]
-/// before treating it as success.
-#[derive(Debug)]
-pub struct PerturbOracle {
-    scratch: ScratchGuard,
-    rev: Arc<Vec<f64>>,
-    cancel: Option<CancelToken>,
-    max_calls: Option<u64>,
-    calls: u64,
-    exhausted: bool,
-}
-
-impl PerturbOracle {
-    /// Builds the oracle. A matching [`crate::TargetContext`] on the
-    /// wrapped problem is reused exactly as in [`crate::Oracle::new`]
-    /// (perturb requests batch under the same context key); otherwise
-    /// one backward Dijkstra runs here.
-    pub fn new(problem: &PerturbProblem<'_>) -> Self {
-        let _timer = obs::span("pathattack.perturb.oracle.build");
-        let inner = problem.inner();
-        let limits = inner.limits();
-        let cancel = limits.deadline.map(CancelToken::deadline_in);
-        let net = inner.network();
-        let mut scratch = acquire_scratch(net.num_nodes());
-        let rev = match inner.target_context().filter(|c| c.matches(inner)) {
-            Some(ctx) => {
-                obs::inc("pathattack.reuse.rev_dij.hit");
-                obs::trace::point(
-                    "oracle.rev_table",
-                    &[("outcome", obs::AttrValue::Str("hit".into()))],
-                );
-                ctx.rev().clone()
-            }
-            None => {
-                obs::inc("pathattack.reuse.rev_dij.miss");
-                obs::trace::point(
-                    "oracle.rev_table",
-                    &[("outcome", obs::AttrValue::Str("miss".into()))],
-                );
-                scratch.dijkstra.set_cancel(cancel.clone());
-                let (d, _) = scratch.dijkstra.distances_and_parents(
-                    inner.base_view(),
-                    |e| inner.weight_of(e),
-                    inner.target(),
-                    Direction::Backward,
-                );
-                Arc::new(d)
-            }
-        };
-        scratch.astar.set_cancel(cancel.clone());
-        PerturbOracle {
-            scratch,
-            rev,
-            cancel,
-            max_calls: limits.max_oracle_calls,
-            calls: 0,
-            exhausted: false,
-        }
-    }
-
-    /// Whether a run limit has fired (see [`crate::Oracle::interrupted`]).
-    pub fn interrupted(&self) -> bool {
-        self.exhausted || self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-    }
-
-    /// Number of [`PerturbOracle::next_violating`] queries issued so far.
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    /// Cheapest s→t path under the perturbed weights that differs from
-    /// `p*` in at least one edge. `None` when `p*` is the only s→t
-    /// path.
-    pub fn best_alternative(
-        &mut self,
-        problem: &PerturbProblem<'_>,
-        overlay: &WeightOverlay,
-    ) -> Option<Path> {
-        let inner = problem.inner();
-        let view = inner.base_view();
-        let weight = |e: EdgeId| inner.weight_of(e) + overlay.delta(e);
-        let PerturbOracle { scratch, rev, .. } = self;
-
-        let shortest = scratch.astar.shortest_path(
-            view,
-            weight,
-            |v| rev[v.index()],
-            inner.source(),
-            inner.target(),
-        )?;
-        if shortest.edges() != inner.pstar().edges() {
-            return Some(shortest);
-        }
-        // Shortest == p*: find the best deviation with a spur pass
-        // (p* edges carry no delta — they are never perturbable — so
-        // its prefix weights match the base weights).
-        let pstar = inner.pstar().clone();
-        let net = inner.network();
-        let mut work = view.clone();
-        let mut best: Option<Path> = None;
-
-        let mut prefix_w = Vec::with_capacity(pstar.len() + 1);
-        prefix_w.push(0.0);
-        for &e in pstar.edges() {
-            prefix_w.push(prefix_w.last().unwrap() + weight(e));
-        }
-        let mut spur_searches: u64 = 0;
-
-        #[allow(clippy::needless_range_loop)] // i indexes nodes, edges and prefix weights together
-        for i in 0..pstar.len() {
-            let spur_node = pstar.nodes()[i];
-            // Pooled buffer instead of a per-spur allocation.
-            let mut removed = std::mem::take(&mut scratch.spur_removed);
-            removed.clear();
-            // force a deviation at index i
-            if work.remove_edge(pstar.edges()[i]) {
-                removed.push(pstar.edges()[i]);
-            }
-            // keep the deviation simple: no re-entry into the prefix
-            for &v in &pstar.nodes()[..i] {
-                for e in net.out_edges(v) {
-                    if work.remove_edge(e) {
-                        removed.push(e);
-                    }
-                }
-            }
-            spur_searches += 1;
-            let spur = scratch.astar.shortest_path(
-                &work,
-                weight,
-                |v| rev[v.index()],
-                spur_node,
-                inner.target(),
-            );
-            if let Some(spur) = spur {
-                let total = prefix_w[i] + spur.total_weight();
-                if best.as_ref().is_none_or(|b| total < b.total_weight()) {
-                    let mut edges = pstar.edges()[..i].to_vec();
-                    edges.extend_from_slice(spur.edges());
-                    let joined =
-                        Path::from_edges(net, edges, weight).expect("prefix + spur is contiguous");
-                    best = Some(joined);
-                }
-            }
-            for &e in &removed {
-                work.restore_edge(e);
-            }
-            scratch.spur_removed = removed;
-        }
-        obs::add("pathattack.oracle.spur_searches", spur_searches);
-        best
-    }
-
-    /// The next violating path under the perturbed weights: the
-    /// cheapest s→t path distinct from `p*` whose perturbed weight does
-    /// not exceed `w(p*)` (within the tie margin). `None` means the
-    /// attack has succeeded — `p*` is the exclusive shortest path under
-    /// `base + overlay`.
-    pub fn next_violating(
-        &mut self,
-        problem: &PerturbProblem<'_>,
-        overlay: &WeightOverlay,
-    ) -> Option<Path> {
-        faults::before_oracle_call();
-        self.calls += 1;
-        if let Some(max) = self.max_calls {
-            if self.calls > max {
-                self.exhausted = true;
-                if let Some(t) = &self.cancel {
-                    t.cancel();
-                }
-                return None;
-            }
-        }
-        if self.interrupted() {
-            return None;
-        }
-        obs::inc("pathattack.perturb.oracle.calls");
-        obs::trace::point("oracle.call", &[("call", obs::AttrValue::U64(self.calls))]);
-        let alt = self.best_alternative(problem, overlay)?;
-        // Paths are built under the perturbed weight closure, so the
-        // wrapped problem's violation test compares perturbed weight
-        // against the unperturbed w(p*) — exactly the PATHPERTURB goal.
-        problem.inner().is_violating(&alt).then_some(alt)
-    }
-
-    /// Distance from `node` to the target on the unperturbed weights.
-    pub fn reverse_distance(&self, node: traffic_graph::NodeId) -> f64 {
-        self.rev[node.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostType, RunLimits, WeightType};
+    use crate::{CostType, WeightType};
     use traffic_graph::{EdgeAttrs, NodeId, Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     /// Three parallel routes a→d with weights 4, 6, 10 (as in the cut
@@ -479,60 +278,6 @@ mod tests {
             )
             .unwrap(),
         )
-    }
-
-    #[test]
-    fn oracle_sees_shorter_route_then_clears_after_perturbation() {
-        let net = three_routes();
-        let p = perturb_problem(&net);
-        let mut oracle = PerturbOracle::new(&p);
-        let mut overlay = WeightOverlay::new(net.num_edges());
-        let v = oracle
-            .next_violating(&p, &overlay)
-            .expect("route 4 violates");
-        assert_eq!(v.total_weight(), 4.0);
-
-        // push the 4-route past the clearance weight
-        let e = net.find_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        overlay.set(e, p.clearance_weight() - 4.0);
-        assert!(oracle.next_violating(&p, &overlay).is_none());
-        assert!(!oracle.interrupted());
-    }
-
-    #[test]
-    fn spur_pass_reports_perturbed_tie_breaker() {
-        // Raise the 4-route exactly to w(p*): it ties, stays violating.
-        let net = three_routes();
-        let p = perturb_problem(&net);
-        let mut oracle = PerturbOracle::new(&p);
-        let mut overlay = WeightOverlay::new(net.num_edges());
-        let e = net.find_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        overlay.set(e, 2.0); // 4-route now weighs 6 == w(p*)
-        let v = oracle.next_violating(&p, &overlay).expect("tie violates");
-        assert_eq!(v.total_weight(), 6.0);
-        assert_ne!(v.edges(), p.inner().pstar().edges());
-    }
-
-    #[test]
-    fn call_cap_zero_interrupts_first_query() {
-        let net = three_routes();
-        let p = PerturbProblem::new(
-            AttackProblem::with_path_rank(
-                &net,
-                WeightType::Length,
-                CostType::Uniform,
-                NodeId::new(0),
-                NodeId::new(4),
-                2,
-            )
-            .unwrap()
-            .with_limits(RunLimits::default().with_max_oracle_calls(0)),
-        );
-        let mut oracle = PerturbOracle::new(&p);
-        let overlay = WeightOverlay::new(net.num_edges());
-        assert!(oracle.next_violating(&p, &overlay).is_none());
-        assert!(oracle.interrupted());
-        assert_eq!(oracle.calls(), 1);
     }
 
     #[test]

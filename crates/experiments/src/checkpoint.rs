@@ -1,7 +1,10 @@
 //! Checkpoint journal for killable experiment sweeps.
 //!
-//! [`run_instances_resumable`](crate::run_instances_resumable) appends
-//! one JSONL line per completed (hospital, source, cost, algorithm) run.
+//! Both sweeps ([`run_instances_resumable`](crate::run_instances_resumable)
+//! and [`run_perturb_instances_resumable`](crate::run_perturb_instances_resumable))
+//! append one JSONL line per completed (hospital, source, cost,
+//! algorithm) run to one journal type, generic over the
+//! [`JournalRecord`] that encodes each sweep's records.
 //! Every append rewrites the journal through a sibling tmp file and an
 //! atomic rename, so a sweep killed at any instant leaves either the
 //! previous journal or the new one — never a torn line. `--resume PATH`
@@ -17,7 +20,6 @@
 
 use crate::metrics::ExperimentRecord;
 use pathattack::{AttackStatus, CostType, Degradation, WeightType};
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -40,35 +42,55 @@ pub fn run_key(hospital: &str, source: usize, cost: CostType, algorithm: &str) -
     format!("{hospital}|{source}|{}|{algorithm}", cost.name())
 }
 
-/// A JSONL journal of completed experiment records.
+/// A record a [`CheckpointJournal`] can hold: the cut sweep's
+/// [`ExperimentRecord`] and the perturb sweep's
+/// [`PerturbRecord`](crate::PerturbRecord).
+pub trait JournalRecord: Clone + Send {
+    /// The run's `(hospital, source, cost, algorithm)`: its journal key
+    /// (see [`run_key`]) and its place in the sorted sweep output.
+    fn coords(&self) -> (&str, usize, CostType, &str);
+
+    /// Appends the record as one JSONL line, floats in shortest
+    /// round-trip form so a resumed CSV is byte-identical.
+    fn write_line(&self, out: &mut String);
+
+    /// Parses one journal line written by [`JournalRecord::write_line`].
+    fn parse_line(line: &str) -> Result<Self, String>;
+}
+
+/// The [`run_key`] of a journaled record.
+pub(crate) fn record_key<R: JournalRecord>(r: &R) -> String {
+    let (hospital, source, cost, algorithm) = r.coords();
+    run_key(hospital, source, cost, algorithm)
+}
+
+/// A JSONL journal of completed sweep records, one per run.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use experiments::CheckpointJournal;
+/// use experiments::{CheckpointJournal, ExperimentRecord};
 ///
-/// let mut journal = CheckpointJournal::open("sweep.ckpt.jsonl").unwrap();
+/// let journal = CheckpointJournal::<ExperimentRecord>::open("sweep.ckpt.jsonl").unwrap();
 /// println!("{} runs already recorded", journal.len());
 /// ```
 #[derive(Debug)]
-pub struct CheckpointJournal {
+pub struct CheckpointJournal<R = ExperimentRecord> {
     path: PathBuf,
     /// Serialized journal body, mirrored to disk on every append.
     text: String,
-    keys: HashSet<String>,
-    records: Vec<ExperimentRecord>,
+    records: Vec<R>,
 }
 
-impl CheckpointJournal {
+impl<R: JournalRecord> CheckpointJournal<R> {
     /// Opens (or creates the in-memory state for) a journal at `path`.
     /// A missing file yields an empty journal; a malformed line is an
     /// error — better to stop than to silently redo half a sweep.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<CheckpointJournal> {
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let mut journal = CheckpointJournal {
             path,
             text: String::new(),
-            keys: HashSet::new(),
             records: Vec::new(),
         };
         match std::fs::read_to_string(&journal.path) {
@@ -77,15 +99,13 @@ impl CheckpointJournal {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let record = parse_record(line).map_err(|e| {
+                    let record = R::parse_line(line).map_err(|e| {
                         io::Error::new(
                             io::ErrorKind::InvalidData,
                             format!("{} line {}: {e}", journal.path.display(), lineno + 1),
                         )
                     })?;
-                    journal.keys.insert(record_key(&record));
-                    write_record(&mut journal.text, &record);
-                    journal.records.push(record);
+                    journal.push(record);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -94,27 +114,25 @@ impl CheckpointJournal {
         Ok(journal)
     }
 
+    fn push(&mut self, record: R) {
+        record.write_line(&mut self.text);
+        self.records.push(record);
+    }
+
     /// Appends one completed record and syncs the journal to disk
     /// atomically.
-    pub fn append(&mut self, record: &ExperimentRecord) -> io::Result<()> {
-        self.keys.insert(record_key(record));
-        write_record(&mut self.text, record);
-        self.records.push(record.clone());
+    pub fn append(&mut self, record: &R) -> io::Result<()> {
+        self.push(record.clone());
         write_atomic(&self.path, self.text.as_bytes())
     }
 
     /// Whether a run with this [`run_key`] is already journaled.
     pub fn contains(&self, key: &str) -> bool {
-        self.keys.contains(key)
-    }
-
-    /// The journaled run keys.
-    pub fn keys(&self) -> &HashSet<String> {
-        &self.keys
+        self.records.iter().any(|r| record_key(r) == key)
     }
 
     /// The journaled records, in journal (completion) order.
-    pub fn records(&self) -> &[ExperimentRecord] {
+    pub fn records(&self) -> &[R] {
         &self.records
     }
 
@@ -127,96 +145,141 @@ impl CheckpointJournal {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
+}
 
-    /// Journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Writes one journal line: a flat JSON object whose fields are added in
+/// order, closed (with its newline) on drop.
+pub(crate) struct JsonLine<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonLine<'a> {
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonLine { out, empty: true }
     }
-}
 
-/// [`run_key`] of an existing record.
-pub(crate) fn record_key(r: &ExperimentRecord) -> String {
-    run_key(&r.hospital, r.source, r.cost, &r.algorithm)
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    fn key(&mut self, key: &str) {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
         }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
     }
-    out.push('"');
+
+    /// A string field, JSON-escaped.
+    pub(crate) fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        self.out.push('"');
+        for c in value.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    self.out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+        self
+    }
+
+    /// A numeric field. `{}` on f64 is shortest-round-trip: parsing the
+    /// journal recovers the exact bits.
+    pub(crate) fn num(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        self.key(key);
+        self.out.push_str(&value.to_string());
+        self
+    }
 }
 
-fn write_record(out: &mut String, r: &ExperimentRecord) {
-    out.push_str("{\"city\":");
-    escape_into(out, &r.city);
-    out.push_str(",\"weight\":");
-    escape_into(out, r.weight.name());
-    out.push_str(",\"cost\":");
-    escape_into(out, r.cost.name());
-    out.push_str(",\"algorithm\":");
-    escape_into(out, &r.algorithm);
-    out.push_str(",\"hospital\":");
-    escape_into(out, &r.hospital);
-    // `{}` on f64 is shortest-round-trip: parsing the journal recovers
-    // the exact bits, so a resumed CSV is byte-identical.
-    out.push_str(&format!(
-        ",\"source\":{},\"runtime_s\":{},\"iterations\":{},\"edges_removed\":{},\"cost_removed\":{},\"status\":\"{}\",\"degraded\":\"{}\"}}\n",
-        r.source,
-        r.runtime_s,
-        r.iterations,
-        r.edges_removed,
-        r.cost_removed,
-        r.status.name(),
-        r.degraded.name(),
-    ));
+impl Drop for JsonLine<'_> {
+    fn drop(&mut self) {
+        self.out.push_str("}\n");
+    }
 }
 
-fn parse_record(line: &str) -> Result<ExperimentRecord, String> {
-    let v = obs::JsonValue::parse(line).map_err(|e| e.to_string())?;
-    let str_field = |key: &str| {
-        v.get(key)
+/// The fields of one parsed journal line.
+pub(crate) struct JsonFields(obs::JsonValue);
+
+impl JsonFields {
+    pub(crate) fn parse(line: &str) -> Result<Self, String> {
+        obs::JsonValue::parse(line)
+            .map(JsonFields)
+            .map_err(|e| e.to_string())
+    }
+
+    pub(crate) fn str(&self, key: &str) -> Result<String, String> {
+        self.0
+            .get(key)
             .and_then(obs::JsonValue::as_str)
             .map(str::to_string)
             .ok_or_else(|| format!("missing or non-string field `{key}`"))
-    };
-    let num_field = |key: &str| {
-        v.get(key)
+    }
+
+    pub(crate) fn num(&self, key: &str) -> Result<f64, String> {
+        self.0
+            .get(key)
             .and_then(obs::JsonValue::as_f64)
             .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-    };
-    let weight_name = str_field("weight")?;
-    let cost_name = str_field("cost")?;
-    let status_name = str_field("status")?;
-    let degraded_name = str_field("degraded")?;
-    Ok(ExperimentRecord {
-        city: str_field("city")?,
-        weight: WeightType::from_name(&weight_name)
-            .ok_or_else(|| format!("unknown weight `{weight_name}`"))?,
-        cost: CostType::from_name(&cost_name)
-            .ok_or_else(|| format!("unknown cost `{cost_name}`"))?,
-        algorithm: str_field("algorithm")?,
-        hospital: str_field("hospital")?,
-        source: num_field("source")? as usize,
-        runtime_s: num_field("runtime_s")?,
-        iterations: num_field("iterations")? as usize,
-        edges_removed: num_field("edges_removed")? as usize,
-        cost_removed: num_field("cost_removed")?,
-        status: AttackStatus::from_name(&status_name)
-            .ok_or_else(|| format!("unknown status `{status_name}`"))?,
-        degraded: Degradation::from_name(&degraded_name)
-            .ok_or_else(|| format!("unknown degradation `{degraded_name}`"))?,
-    })
+    }
+
+    /// A string field naming an enum value (weight, cost, status,
+    /// degradation), resolved through its `from_name`.
+    pub(crate) fn named<T>(
+        &self,
+        key: &str,
+        from_name: fn(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let name = self.str(key)?;
+        from_name(&name).ok_or_else(|| format!("unknown {key} `{name}`"))
+    }
+}
+
+impl JournalRecord for ExperimentRecord {
+    fn coords(&self) -> (&str, usize, CostType, &str) {
+        (&self.hospital, self.source, self.cost, &self.algorithm)
+    }
+
+    fn write_line(&self, out: &mut String) {
+        JsonLine::new(out)
+            .str("city", &self.city)
+            .str("weight", self.weight.name())
+            .str("cost", self.cost.name())
+            .str("algorithm", &self.algorithm)
+            .str("hospital", &self.hospital)
+            .num("source", self.source)
+            .num("runtime_s", self.runtime_s)
+            .num("iterations", self.iterations)
+            .num("edges_removed", self.edges_removed)
+            .num("cost_removed", self.cost_removed)
+            .str("status", self.status.name())
+            .str("degraded", self.degraded.name());
+    }
+
+    fn parse_line(line: &str) -> Result<Self, String> {
+        let f = JsonFields::parse(line)?;
+        Ok(ExperimentRecord {
+            city: f.str("city")?,
+            weight: f.named("weight", WeightType::from_name)?,
+            cost: f.named("cost", CostType::from_name)?,
+            algorithm: f.str("algorithm")?,
+            hospital: f.str("hospital")?,
+            source: f.num("source")? as usize,
+            runtime_s: f.num("runtime_s")?,
+            iterations: f.num("iterations")? as usize,
+            edges_removed: f.num("edges_removed")? as usize,
+            cost_removed: f.num("cost_removed")?,
+            status: f.named("status", AttackStatus::from_name)?,
+            degraded: f.named("degraded", Degradation::from_name)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -256,7 +319,7 @@ mod tests {
         j.append(&a).unwrap();
         j.append(&b).unwrap();
 
-        let reopened = CheckpointJournal::open(&path).unwrap();
+        let reopened = CheckpointJournal::<ExperimentRecord>::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         let ra = &reopened.records()[0];
         assert_eq!(ra.hospital, a.hospital);
@@ -275,7 +338,7 @@ mod tests {
     fn missing_file_opens_empty() {
         let path = tmp_path("missing");
         let _ = std::fs::remove_file(&path);
-        let j = CheckpointJournal::open(&path).unwrap();
+        let j = CheckpointJournal::<ExperimentRecord>::open(&path).unwrap();
         assert!(j.is_empty());
         assert!(!path.exists(), "open must not create the file");
     }
@@ -284,7 +347,7 @@ mod tests {
     fn malformed_line_is_an_error() {
         let path = tmp_path("malformed");
         std::fs::write(&path, "{\"city\":\n").unwrap();
-        assert!(CheckpointJournal::open(&path).is_err());
+        assert!(CheckpointJournal::<ExperimentRecord>::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

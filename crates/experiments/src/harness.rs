@@ -6,20 +6,21 @@
 //! per set; the harness makes those knobs configurable so tests and
 //! benches can run smaller sets.
 
-use crate::checkpoint::{record_key, CheckpointJournal};
+use crate::checkpoint::{record_key, run_key, CheckpointJournal, JournalRecord};
 use crate::metrics::ExperimentRecord;
 use citygen::{CityPreset, Scale};
 use parking_lot::Mutex;
 use pathattack::{
     all_algorithms, all_algorithms_extended, faults, AttackProblem, AttackStatus, CostType,
-    Degradation, FaultPlan, NetworkCache, ProblemError, RunLimits, TargetContext, WeightType,
+    Degradation, FaultPlan, NetworkCache, RunLimits, TargetContext, WeightType,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use routing::Path;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use traffic_graph::{NodeId, PoiKind, RoadNetwork};
@@ -147,7 +148,9 @@ pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<Experim
     let n = net.num_nodes();
 
     // Cheap pre-filter: reject doorstep trips before paying for Yen.
-    let weight = plan.weight.compute(net);
+    // It reads the same weight table every hospital's context shares.
+    let cache = Arc::new(NetworkCache::new());
+    let weight = cache.weights(net, plan.weight);
     let view = traffic_graph::GraphView::new(net);
     let mut dij = routing::Dijkstra::new(n);
 
@@ -155,9 +158,14 @@ pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<Experim
         // One backward sweep per hospital feeds every Yen enumeration
         // below (and, via with_path_rank_in, every source's spur
         // searches) instead of one sweep per attempted source.
-        let ctx = plan
-            .reuse
-            .then(|| Arc::new(TargetContext::build(net, plan.weight, hospital.node)));
+        let ctx = plan.reuse.then(|| {
+            Arc::new(TargetContext::build_with_cache(
+                net,
+                plan.weight,
+                hospital.node,
+                cache.clone(),
+            ))
+        });
         let mut found = 0usize;
         let mut attempts = 0usize;
         while found < plan.sources_per_hospital && attempts < 200 * plan.sources_per_hospital {
@@ -189,19 +197,17 @@ pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<Experim
                     plan.path_rank,
                 ),
             };
-            match problem {
-                Ok(problem) => {
-                    out.push(ExperimentInstance {
-                        source,
-                        target: hospital.node,
-                        hospital: hospital.name.clone(),
-                        pstar: problem.pstar().clone(),
-                    });
-                    found += 1;
-                }
-                Err(ProblemError::RankUnavailable(_)) => continue,
-                Err(_) => continue,
-            }
+            // Too few simple paths (or any other invalid pair): redraw.
+            let Ok(problem) = problem else {
+                continue;
+            };
+            out.push(ExperimentInstance {
+                source,
+                target: hospital.node,
+                hospital: hospital.name.clone(),
+                pstar: problem.pstar().clone(),
+            });
+            found += 1;
         }
         if found < plan.sources_per_hospital {
             let shortfall = plan.sources_per_hospital - found;
@@ -257,27 +263,187 @@ pub fn run_instances_resumable(
     instances: &[ExperimentInstance],
     journal: Option<&mut CheckpointJournal>,
 ) -> Vec<ExperimentRecord> {
-    // Seed output with already-journaled records and skip their keys.
-    let mut out: Vec<ExperimentRecord> = journal
+    run_sweep(
+        net,
+        plan,
+        instances,
+        journal,
+        |sweep, inst, cost, telemetry| {
+            let Some(problem) = sweep.problem(inst, cost) else {
+                return;
+            };
+            let algorithms = if plan.extended_algorithms {
+                all_algorithms_extended()
+            } else {
+                all_algorithms()
+            };
+            for alg in &algorithms {
+                let key = run_key(&inst.hospital, inst.source.index(), cost, alg.name());
+                if sweep.is_done(&key) {
+                    continue;
+                }
+                faults::set_run_key(&key);
+                // Per-run trace: deterministic id from the run coordinates,
+                // installed so the oracle and search layers record into it
+                // ambiently (same mechanism the serve workers use).
+                let run_trace = telemetry.map(|_| {
+                    Arc::new(obs::TraceContext::new(
+                        obs::trace::trace_id(&[
+                            inst.source.index() as u64,
+                            inst.target.index() as u64,
+                            cost as u64,
+                            alg.name().len() as u64,
+                        ]),
+                        "experiment/attack",
+                    ))
+                });
+                let trace_guard = run_trace.as_ref().map(obs::trace::install);
+                let attempt = isolated(|| alg.attack(&problem));
+                drop(trace_guard);
+                if let (Some(reg), Some(t)) = (telemetry, &run_trace) {
+                    reg.counter("harness.trace.events")
+                        .add(t.events().len() as u64);
+                    reg.counter("harness.trace.dropped").add(t.dropped());
+                }
+                faults::clear_run_key();
+                // A panic still yields a Failed record, so aggregates know
+                // the run existed.
+                let mut record = ExperimentRecord {
+                    city: net.name().to_string(),
+                    weight: plan.weight,
+                    cost,
+                    algorithm: alg.name().to_string(),
+                    hospital: inst.hospital.clone(),
+                    source: inst.source.index(),
+                    runtime_s: 0.0,
+                    iterations: 0,
+                    edges_removed: 0,
+                    cost_removed: 0.0,
+                    status: AttackStatus::Failed,
+                    degraded: Degradation::None,
+                };
+                match attempt {
+                    Ok(outcome) => {
+                        if let Some(reg) = telemetry {
+                            reg.counter("harness.attacks").add(1);
+                            reg.histogram("harness.attack_runtime_us")
+                                .record(outcome.runtime.as_micros() as u64);
+                        }
+                        record.algorithm = outcome.algorithm.clone();
+                        record.runtime_s = outcome.runtime.as_secs_f64();
+                        record.iterations = outcome.iterations;
+                        record.edges_removed = outcome.num_removed();
+                        record.cost_removed = outcome.total_cost;
+                        record.status = outcome.status;
+                        record.degraded = outcome.degraded;
+                    }
+                    Err(runtime_s) => record.runtime_s = runtime_s,
+                }
+                sweep.emit(record);
+            }
+        },
+    )
+}
+
+/// What the shared sweep runner ([`run_sweep`]) hands each
+/// per-(instance, cost) body: one [`TargetContext`] per hospital, the
+/// already-journaled run keys, and the journal and output that finished
+/// records go to.
+pub(crate) struct Sweep<'a, R> {
+    net: &'a RoadNetwork,
+    plan: &'a ExperimentPlan,
+    contexts: HashMap<NodeId, Arc<TargetContext>>,
+    done: HashSet<String>,
+    journal: Mutex<Option<&'a mut CheckpointJournal<R>>>,
+    records: Mutex<Vec<R>>,
+}
+
+impl<'a, R: JournalRecord> Sweep<'a, R> {
+    /// A fresh attack problem for `inst` under `cost`, carrying the
+    /// plan's limits and repair flag and (with reuse on) sharing the
+    /// hospital's context. `None` when the instance does not form a
+    /// valid problem under this cost.
+    pub(crate) fn problem(
+        &self,
+        inst: &ExperimentInstance,
+        cost: CostType,
+    ) -> Option<AttackProblem<'a>> {
+        let view = traffic_graph::GraphView::new(self.net);
+        let (weight, pstar) = (self.plan.weight, inst.pstar.clone());
+        let built = match self.contexts.get(&inst.target) {
+            Some(ctx) => {
+                AttackProblem::new_in(view, weight, cost, inst.source, inst.target, pstar, ctx)
+            }
+            None => AttackProblem::new(view, weight, cost, inst.source, inst.target, pstar),
+        };
+        let problem = built.ok()?;
+        Some(
+            problem
+                .with_limits(self.plan.run_limits())
+                .with_repair(self.plan.repair),
+        )
+    }
+
+    /// Whether the run with this [`run_key`] is already journaled (its
+    /// record is emitted verbatim, so the body must not re-run it).
+    pub(crate) fn is_done(&self, key: &str) -> bool {
+        self.done.contains(key)
+    }
+
+    /// Journals one finished record and adds it to the sweep's output.
+    pub(crate) fn emit(&self, record: R) {
+        if let Some(j) = self.journal.lock().as_deref_mut() {
+            if let Err(e) = j.append(&record) {
+                eprintln!("warning: checkpoint append failed: {e}");
+            }
+        }
+        self.records.lock().push(record);
+    }
+}
+
+/// Runs `run` under `catch_unwind`. A panic costs that one result: it
+/// counts `harness.run_panics` and comes back as the seconds spent
+/// before it.
+pub(crate) fn isolated<T>(run: impl FnOnce() -> T) -> Result<T, f64> {
+    let started = Instant::now();
+    catch_unwind(AssertUnwindSafe(run)).map_err(|_| {
+        obs::inc("harness.run_panics");
+        started.elapsed().as_secs_f64()
+    })
+}
+
+/// The worker pool both sweeps (cut and perturb) run on.
+///
+/// Seeds the output with the journal's records and skips their keys,
+/// builds one [`TargetContext`] per hospital on one [`NetworkCache`]
+/// (with `plan.reuse`), then hands every (instance × cost) pair to
+/// `body` on `plan.threads` workers. Each worker arms the plan's fault
+/// plan and, when telemetry is on, records into a private registry
+/// (passed to `body`) that it merges once at the end. The output is
+/// sorted by (hospital, source, cost, algorithm), so thread count and
+/// resume never change it.
+pub(crate) fn run_sweep<R: JournalRecord>(
+    net: &RoadNetwork,
+    plan: &ExperimentPlan,
+    instances: &[ExperimentInstance],
+    journal: Option<&mut CheckpointJournal<R>>,
+    body: impl Fn(&Sweep<'_, R>, &ExperimentInstance, CostType, Option<&obs::Registry>) + Sync,
+) -> Vec<R> {
+    let mut out: Vec<R> = journal
         .as_ref()
         .map(|j| j.records().to_vec())
         .unwrap_or_default();
-    let skip: std::collections::HashSet<String> = out.iter().map(record_key).collect();
-    let journal = Mutex::new(journal);
-    let records = Mutex::new(Vec::new());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = plan.threads.max(1).min(instances.len().max(1));
-    let limits = plan.run_limits();
+    let done = out.iter().map(record_key).collect();
 
     // One TargetContext per hospital, one NetworkCache for the whole
     // sweep: every oracle built below reuses the hospital's reverse
     // table and the centrality-based algorithms reuse one shared
     // centrality computation (all bit-identical to the per-run path).
-    let contexts: HashMap<NodeId, Arc<TargetContext>> = if plan.reuse {
+    let mut contexts = HashMap::new();
+    if plan.reuse {
         let cache = Arc::new(NetworkCache::new());
-        let mut m = HashMap::new();
         for inst in instances {
-            m.entry(inst.target).or_insert_with(|| {
+            contexts.entry(inst.target).or_insert_with(|| {
                 Arc::new(TargetContext::build_with_cache(
                     net,
                     plan.weight,
@@ -286,10 +452,17 @@ pub fn run_instances_resumable(
                 ))
             });
         }
-        m
-    } else {
-        HashMap::new()
+    }
+    let sweep = Sweep {
+        net,
+        plan,
+        contexts,
+        done,
+        journal: Mutex::new(journal),
+        records: Mutex::new(Vec::new()),
     };
+    let next = AtomicUsize::new(0);
+    let workers = plan.threads.max(1).min(instances.len().max(1));
 
     let joined = crossbeam::scope(|scope| {
         for _ in 0..workers {
@@ -301,140 +474,20 @@ pub fn run_instances_resumable(
                 if plan.faults.is_some() {
                     faults::install(plan.faults);
                 }
-                let algorithms = if plan.extended_algorithms {
-                    all_algorithms_extended()
-                } else {
-                    all_algorithms()
-                };
                 // Per-thread registry: workers record (hospital, source)
                 // timings privately — zero contention on the global maps
                 // — then merge once at join time.
                 let telemetry = obs::enabled().then(obs::Registry::new);
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(inst) = instances.get(i) else {
-                        break;
-                    };
-                    let mut local = Vec::new();
+                while let Some(inst) = instances.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let _inst_timer = telemetry
                         .as_ref()
                         .map(|reg| obs::span_in(reg, "harness.instance"));
                     for &cost in &plan.cost_types {
-                        let view = traffic_graph::GraphView::new(net);
-                        let built = match contexts.get(&inst.target) {
-                            Some(ctx) => AttackProblem::new_in(
-                                view,
-                                plan.weight,
-                                cost,
-                                inst.source,
-                                inst.target,
-                                inst.pstar.clone(),
-                                ctx,
-                            ),
-                            None => AttackProblem::new(
-                                view,
-                                plan.weight,
-                                cost,
-                                inst.source,
-                                inst.target,
-                                inst.pstar.clone(),
-                            ),
-                        };
-                        let problem = match built {
-                            Ok(p) => p.with_limits(limits).with_repair(plan.repair),
-                            Err(_) => continue,
-                        };
-                        for alg in &algorithms {
-                            let key = crate::checkpoint::run_key(
-                                &inst.hospital,
-                                inst.source.index(),
-                                cost,
-                                alg.name(),
-                            );
-                            if skip.contains(&key) {
-                                continue;
-                            }
-                            faults::set_run_key(&key);
-                            // Per-run trace: deterministic id from the
-                            // run coordinates, installed so the oracle
-                            // and search layers record into it ambiently
-                            // (same mechanism the serve workers use).
-                            let run_trace = telemetry.as_ref().map(|_| {
-                                std::sync::Arc::new(obs::TraceContext::new(
-                                    obs::trace::trace_id(&[
-                                        inst.source.index() as u64,
-                                        inst.target.index() as u64,
-                                        cost as u64,
-                                        alg.name().len() as u64,
-                                    ]),
-                                    "experiment/attack",
-                                ))
-                            });
-                            let trace_guard = run_trace.as_ref().map(obs::trace::install);
-                            let started = Instant::now();
-                            let attempt = catch_unwind(AssertUnwindSafe(|| alg.attack(&problem)));
-                            drop(trace_guard);
-                            if let (Some(reg), Some(t)) = (&telemetry, &run_trace) {
-                                reg.counter("harness.trace.events")
-                                    .add(t.events().len() as u64);
-                                reg.counter("harness.trace.dropped").add(t.dropped());
-                            }
-                            faults::clear_run_key();
-                            let record = match attempt {
-                                Ok(outcome) => {
-                                    if let Some(reg) = &telemetry {
-                                        reg.counter("harness.attacks").add(1);
-                                        reg.histogram("harness.attack_runtime_us")
-                                            .record(outcome.runtime.as_micros() as u64);
-                                    }
-                                    ExperimentRecord {
-                                        city: net.name().to_string(),
-                                        weight: plan.weight,
-                                        cost,
-                                        algorithm: outcome.algorithm.clone(),
-                                        hospital: inst.hospital.clone(),
-                                        source: inst.source.index(),
-                                        runtime_s: outcome.runtime.as_secs_f64(),
-                                        iterations: outcome.iterations,
-                                        edges_removed: outcome.num_removed(),
-                                        cost_removed: outcome.total_cost,
-                                        status: outcome.status,
-                                        degraded: outcome.degraded,
-                                    }
-                                }
-                                // One panic costs one record, not the
-                                // sweep: emit a Failed placeholder so
-                                // aggregates know the run existed.
-                                Err(_) => {
-                                    obs::inc("harness.run_panics");
-                                    ExperimentRecord {
-                                        city: net.name().to_string(),
-                                        weight: plan.weight,
-                                        cost,
-                                        algorithm: alg.name().to_string(),
-                                        hospital: inst.hospital.clone(),
-                                        source: inst.source.index(),
-                                        runtime_s: started.elapsed().as_secs_f64(),
-                                        iterations: 0,
-                                        edges_removed: 0,
-                                        cost_removed: 0.0,
-                                        status: AttackStatus::Failed,
-                                        degraded: Degradation::None,
-                                    }
-                                }
-                            };
-                            if let Some(j) = journal.lock().as_deref_mut() {
-                                if let Err(e) = j.append(&record) {
-                                    eprintln!("warning: checkpoint append failed: {e}");
-                                }
-                            }
-                            local.push(record);
-                        }
+                        body(&sweep, inst, cost, telemetry.as_ref());
                     }
                     if let Some(reg) = &telemetry {
                         reg.counter("harness.instances").add(1);
                     }
-                    records.lock().extend(local);
                 }
                 if let Some(reg) = &telemetry {
                     reg.counter("harness.workers").add(1);
@@ -451,14 +504,11 @@ pub fn run_instances_resumable(
         eprintln!("warning: an experiment worker died; keeping completed records");
     }
 
-    out.extend(records.into_inner());
+    out.extend(sweep.records.into_inner());
     out.sort_by(|a, b| {
-        (&a.hospital, a.source, a.cost.name(), &a.algorithm).cmp(&(
-            &b.hospital,
-            b.source,
-            b.cost.name(),
-            &b.algorithm,
-        ))
+        let (ha, sa, ca, aa) = a.coords();
+        let (hb, sb, cb, ab) = b.coords();
+        (ha, sa, ca.name(), aa).cmp(&(hb, sb, cb.name(), ab))
     });
     out
 }

@@ -45,7 +45,7 @@ mod viz;
 /// trips with degenerate path-rank statistics.
 pub const MIN_TRIP_EDGES: usize = 10;
 
-pub use checkpoint::{run_key, write_atomic, CheckpointJournal};
+pub use checkpoint::{run_key, write_atomic, CheckpointJournal, JournalRecord};
 pub use harness::{
     run_instances, run_instances_resumable, run_plan, sample_instances, ExperimentInstance,
     ExperimentPlan,
@@ -55,9 +55,8 @@ pub use metrics::{
     aggregate, city_average, records_to_csv, AggregateRow, CityAverage, ExperimentRecord,
 };
 pub use perturb_sweep::{
-    aggregate_perturb, perturb_record_key, perturb_records_to_csv, run_perturb_instances,
-    run_perturb_instances_resumable, PerturbAggregateRow, PerturbJournal, PerturbOptions,
-    PerturbRecord,
+    aggregate_perturb, perturb_records_to_csv, run_perturb_instances,
+    run_perturb_instances_resumable, PerturbAggregateRow, PerturbOptions, PerturbRecord,
 };
 pub use sweep::{rank_sweep, render_rank_sweep, RankSweepPoint};
 pub use tables::{render_experiment_table, render_table1, render_table10, render_table9};

@@ -3,27 +3,21 @@
 //! Runs [`pathattack::LpPerturb`] next to the [`pathattack::LpPathCover`]
 //! cut baseline on the *same* sampled instances, producing one
 //! comparison record per (instance × cost type) with both modalities'
-//! cost and runtime side by side. Records journal and resume exactly
-//! like the cut sweep's ([`crate::CheckpointJournal`]): hand-rolled
-//! JSONL with shortest-round-trip floats, atomic rewrites, and
-//! deterministic final ordering, so a resumed sweep emits byte-identical
+//! cost and runtime side by side. Only the per-(instance, cost) body
+//! lives here: the worker pool, per-hospital contexts, fault arming,
+//! panic isolation, journal and deterministic ordering are the cut
+//! sweep's, and [`PerturbRecord`] journals through the same
+//! [`crate::CheckpointJournal`], so a resumed sweep emits byte-identical
 //! CSVs.
 
-use crate::checkpoint::{run_key, write_atomic};
-use crate::harness::{ExperimentInstance, ExperimentPlan};
-use parking_lot::Mutex;
+use crate::checkpoint::{run_key, CheckpointJournal, JournalRecord, JsonFields, JsonLine};
+use crate::harness::{isolated, run_sweep, ExperimentInstance, ExperimentPlan};
 use pathattack::{
-    faults, AttackAlgorithm, AttackProblem, AttackStatus, CostType, Degradation, LpPathCover,
-    LpPerturb, NetworkCache, PerturbProblem, TargetContext, WeightType,
+    faults, AttackAlgorithm, AttackStatus, CostType, Degradation, LpPathCover, LpPerturb,
+    PerturbProblem, WeightType,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
-use traffic_graph::{NodeId, RoadNetwork};
+use traffic_graph::RoadNetwork;
 
 /// Perturbation-specific sweep knobs (the cut baseline ignores them).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -73,12 +67,10 @@ pub struct PerturbRecord {
     pub cut_status: AttackStatus,
 }
 
-/// The journal/skip key of one perturb comparison run. Reuses the cut
-/// sweep's key format with the perturbation algorithm name, so perturb
-/// and cut journals can never collide on keys.
-pub fn perturb_record_key(r: &PerturbRecord) -> String {
-    run_key(&r.hospital, r.source, r.cost, "LP-Perturb")
-}
+/// The algorithm coordinate of every comparison record: its journal
+/// key is the cut sweep's key format with this name, so perturb and cut
+/// journals can never collide on keys.
+const PERTURB_ALGORITHM: &str = "LP-Perturb";
 
 /// Serializes comparison records to CSV (header + one row per
 /// instance × cost), cut and perturb columns side by side.
@@ -159,174 +151,52 @@ pub fn aggregate_perturb(records: &[PerturbRecord]) -> Vec<PerturbAggregateRow> 
         .collect()
 }
 
-/// A JSONL journal of completed comparison records (the perturb-sweep
-/// sibling of [`crate::CheckpointJournal`], same atomicity and
-/// exact-float guarantees).
-#[derive(Debug)]
-pub struct PerturbJournal {
-    path: PathBuf,
-    text: String,
-    keys: HashSet<String>,
-    records: Vec<PerturbRecord>,
-}
-
-impl PerturbJournal {
-    /// Opens (or creates the in-memory state for) a journal at `path`.
-    /// A missing file yields an empty journal; a malformed line is an
-    /// error.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<PerturbJournal> {
-        let path = path.into();
-        let mut journal = PerturbJournal {
-            path,
-            text: String::new(),
-            keys: HashSet::new(),
-            records: Vec::new(),
-        };
-        match std::fs::read_to_string(&journal.path) {
-            Ok(body) => {
-                for (lineno, line) in body.lines().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let record = parse_perturb_record(line).map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{} line {}: {e}", journal.path.display(), lineno + 1),
-                        )
-                    })?;
-                    journal.keys.insert(perturb_record_key(&record));
-                    write_perturb_record(&mut journal.text, &record);
-                    journal.records.push(record);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        Ok(journal)
+impl JournalRecord for PerturbRecord {
+    fn coords(&self) -> (&str, usize, CostType, &str) {
+        (&self.hospital, self.source, self.cost, PERTURB_ALGORITHM)
     }
 
-    /// Appends one completed record and syncs the journal to disk
-    /// atomically.
-    pub fn append(&mut self, record: &PerturbRecord) -> io::Result<()> {
-        self.keys.insert(perturb_record_key(record));
-        write_perturb_record(&mut self.text, record);
-        self.records.push(record.clone());
-        write_atomic(&self.path, self.text.as_bytes())
+    fn write_line(&self, out: &mut String) {
+        JsonLine::new(out)
+            .str("city", &self.city)
+            .str("weight", self.weight.name())
+            .str("cost", self.cost.name())
+            .str("hospital", &self.hospital)
+            .num("source", self.source)
+            .num("perturb_runtime_s", self.perturb_runtime_s)
+            .num("rounds", self.rounds)
+            .num("edges_perturbed", self.edges_perturbed)
+            .num("total_delta", self.total_delta)
+            .num("perturb_cost", self.perturb_cost)
+            .str("perturb_status", self.perturb_status.name())
+            .str("degraded", self.degraded.name())
+            .num("cut_runtime_s", self.cut_runtime_s)
+            .num("edges_removed", self.edges_removed)
+            .num("cut_cost", self.cut_cost)
+            .str("cut_status", self.cut_status.name());
     }
 
-    /// Whether a run with this key is already journaled.
-    pub fn contains(&self, key: &str) -> bool {
-        self.keys.contains(key)
+    fn parse_line(line: &str) -> Result<Self, String> {
+        let f = JsonFields::parse(line)?;
+        Ok(PerturbRecord {
+            city: f.str("city")?,
+            weight: f.named("weight", WeightType::from_name)?,
+            cost: f.named("cost", CostType::from_name)?,
+            hospital: f.str("hospital")?,
+            source: f.num("source")? as usize,
+            perturb_runtime_s: f.num("perturb_runtime_s")?,
+            rounds: f.num("rounds")? as usize,
+            edges_perturbed: f.num("edges_perturbed")? as usize,
+            total_delta: f.num("total_delta")?,
+            perturb_cost: f.num("perturb_cost")?,
+            perturb_status: f.named("perturb_status", AttackStatus::from_name)?,
+            degraded: f.named("degraded", Degradation::from_name)?,
+            cut_runtime_s: f.num("cut_runtime_s")?,
+            edges_removed: f.num("edges_removed")? as usize,
+            cut_cost: f.num("cut_cost")?,
+            cut_status: f.named("cut_status", AttackStatus::from_name)?,
+        })
     }
-
-    /// The journaled records, in journal (completion) order.
-    pub fn records(&self) -> &[PerturbRecord] {
-        &self.records
-    }
-
-    /// Number of journaled records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_perturb_record(out: &mut String, r: &PerturbRecord) {
-    out.push_str("{\"city\":");
-    escape_into(out, &r.city);
-    out.push_str(",\"weight\":");
-    escape_into(out, r.weight.name());
-    out.push_str(",\"cost\":");
-    escape_into(out, r.cost.name());
-    out.push_str(",\"hospital\":");
-    escape_into(out, &r.hospital);
-    // `{}` on f64 is shortest-round-trip: parsing the journal recovers
-    // the exact bits, so a resumed CSV is byte-identical.
-    out.push_str(&format!(
-        ",\"source\":{},\"perturb_runtime_s\":{},\"rounds\":{},\"edges_perturbed\":{},\"total_delta\":{},\"perturb_cost\":{},\"perturb_status\":\"{}\",\"degraded\":\"{}\",\"cut_runtime_s\":{},\"edges_removed\":{},\"cut_cost\":{},\"cut_status\":\"{}\"}}\n",
-        r.source,
-        r.perturb_runtime_s,
-        r.rounds,
-        r.edges_perturbed,
-        r.total_delta,
-        r.perturb_cost,
-        r.perturb_status.name(),
-        r.degraded.name(),
-        r.cut_runtime_s,
-        r.edges_removed,
-        r.cut_cost,
-        r.cut_status.name(),
-    ));
-}
-
-fn parse_perturb_record(line: &str) -> Result<PerturbRecord, String> {
-    let v = obs::JsonValue::parse(line).map_err(|e| e.to_string())?;
-    let str_field = |key: &str| {
-        v.get(key)
-            .and_then(obs::JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing or non-string field `{key}`"))
-    };
-    let num_field = |key: &str| {
-        v.get(key)
-            .and_then(obs::JsonValue::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-    };
-    let weight_name = str_field("weight")?;
-    let cost_name = str_field("cost")?;
-    let perturb_status = str_field("perturb_status")?;
-    let degraded = str_field("degraded")?;
-    let cut_status = str_field("cut_status")?;
-    Ok(PerturbRecord {
-        city: str_field("city")?,
-        weight: WeightType::from_name(&weight_name)
-            .ok_or_else(|| format!("unknown weight `{weight_name}`"))?,
-        cost: CostType::from_name(&cost_name)
-            .ok_or_else(|| format!("unknown cost `{cost_name}`"))?,
-        hospital: str_field("hospital")?,
-        source: num_field("source")? as usize,
-        perturb_runtime_s: num_field("perturb_runtime_s")?,
-        rounds: num_field("rounds")? as usize,
-        edges_perturbed: num_field("edges_perturbed")? as usize,
-        total_delta: num_field("total_delta")?,
-        perturb_cost: num_field("perturb_cost")?,
-        perturb_status: AttackStatus::from_name(&perturb_status)
-            .ok_or_else(|| format!("unknown status `{perturb_status}`"))?,
-        degraded: Degradation::from_name(&degraded)
-            .ok_or_else(|| format!("unknown degradation `{degraded}`"))?,
-        cut_runtime_s: num_field("cut_runtime_s")?,
-        edges_removed: num_field("edges_removed")? as usize,
-        cut_cost: num_field("cut_cost")?,
-        cut_status: AttackStatus::from_name(&cut_status)
-            .ok_or_else(|| format!("unknown status `{cut_status}`"))?,
-    })
 }
 
 /// Runs the cut-vs-perturb comparison over pre-sampled instances, with
@@ -335,175 +205,79 @@ fn parse_perturb_record(line: &str) -> Result<PerturbRecord, String> {
 /// Per (instance × cost type), [`LpPerturb`] and the [`LpPathCover`]
 /// cut baseline each attack a freshly built problem sharing the same
 /// `p*`, limits, repair flag and (when `plan.reuse`) per-hospital
-/// [`TargetContext`]. Already-journaled keys are skipped and their
-/// records emitted verbatim; each run is isolated with `catch_unwind`
-/// (a panic yields a [`AttackStatus::Failed`] half of the record).
-/// Records are sorted deterministically, so thread count, resume, and
-/// repair on/off never change any byte outside the runtime columns.
+/// [`pathattack::TargetContext`]. The worker pool, journal and resume
+/// are the cut sweep's ([`crate::run_instances_resumable`]): journaled
+/// keys are skipped and their records emitted verbatim, and each attack
+/// is isolated with `catch_unwind` (a panic yields a
+/// [`AttackStatus::Failed`] half of the record). Records are sorted
+/// deterministically, so thread count, resume, and repair on/off never
+/// change any byte outside the runtime columns.
 pub fn run_perturb_instances_resumable(
     net: &RoadNetwork,
     plan: &ExperimentPlan,
     instances: &[ExperimentInstance],
     options: PerturbOptions,
-    journal: Option<&mut PerturbJournal>,
+    journal: Option<&mut CheckpointJournal<PerturbRecord>>,
 ) -> Vec<PerturbRecord> {
-    let mut out: Vec<PerturbRecord> = journal
-        .as_ref()
-        .map(|j| j.records().to_vec())
-        .unwrap_or_default();
-    let skip: HashSet<String> = out.iter().map(perturb_record_key).collect();
-    let journal = Mutex::new(journal);
-    let records = Mutex::new(Vec::new());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = plan.threads.max(1).min(instances.len().max(1));
-    let limits = plan.run_limits();
-
-    let contexts: HashMap<NodeId, Arc<TargetContext>> = if plan.reuse {
-        let cache = Arc::new(NetworkCache::new());
-        let mut m = HashMap::new();
-        for inst in instances {
-            m.entry(inst.target).or_insert_with(|| {
-                Arc::new(TargetContext::build_with_cache(
-                    net,
-                    plan.weight,
-                    inst.target,
-                    cache.clone(),
-                ))
-            });
+    run_sweep(net, plan, instances, journal, |sweep, inst, cost, _| {
+        let key = run_key(&inst.hospital, inst.source.index(), cost, PERTURB_ALGORITHM);
+        if sweep.is_done(&key) {
+            return;
         }
-        m
-    } else {
-        HashMap::new()
-    };
-
-    let build_problem = |inst: &ExperimentInstance, cost: CostType| {
-        let view = traffic_graph::GraphView::new(net);
-        let built = match contexts.get(&inst.target) {
-            Some(ctx) => AttackProblem::new_in(
-                view,
-                plan.weight,
-                cost,
-                inst.source,
-                inst.target,
-                inst.pstar.clone(),
-                ctx,
-            ),
-            None => AttackProblem::new(
-                view,
-                plan.weight,
-                cost,
-                inst.source,
-                inst.target,
-                inst.pstar.clone(),
-            ),
+        faults::set_run_key(&key);
+        let mut record = PerturbRecord {
+            city: net.name().to_string(),
+            weight: plan.weight,
+            cost,
+            hospital: inst.hospital.clone(),
+            source: inst.source.index(),
+            perturb_runtime_s: 0.0,
+            rounds: 0,
+            edges_perturbed: 0,
+            total_delta: 0.0,
+            perturb_cost: 0.0,
+            perturb_status: AttackStatus::Failed,
+            degraded: Degradation::None,
+            cut_runtime_s: 0.0,
+            edges_removed: 0,
+            cut_cost: 0.0,
+            cut_status: AttackStatus::Failed,
         };
-        built
-            .ok()
-            .map(|p| p.with_limits(limits).with_repair(plan.repair))
-    };
-
-    let joined = crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                if plan.faults.is_some() {
-                    faults::install(plan.faults);
+        // Perturb side.
+        if let Some(problem) = sweep.problem(inst, cost) {
+            let mut p =
+                PerturbProblem::new(problem).with_integer_rounding(options.integer_rounding);
+            if let Some(cap) = options.edge_cap {
+                p = p.with_edge_cap(cap);
+            }
+            match isolated(|| LpPerturb::default().attack(&p)) {
+                Ok(r) => {
+                    record.perturb_runtime_s = r.runtime.as_secs_f64();
+                    record.rounds = r.rounds;
+                    record.edges_perturbed = r.num_perturbed();
+                    record.total_delta = r.total_delta;
+                    record.perturb_cost = r.total_cost;
+                    record.perturb_status = r.status;
+                    record.degraded = r.degraded;
                 }
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(inst) = instances.get(i) else {
-                        break;
-                    };
-                    let mut local = Vec::new();
-                    for &cost in &plan.cost_types {
-                        let key = run_key(&inst.hospital, inst.source.index(), cost, "LP-Perturb");
-                        if skip.contains(&key) {
-                            continue;
-                        }
-                        faults::set_run_key(&key);
-                        let mut record = PerturbRecord {
-                            city: net.name().to_string(),
-                            weight: plan.weight,
-                            cost,
-                            hospital: inst.hospital.clone(),
-                            source: inst.source.index(),
-                            perturb_runtime_s: 0.0,
-                            rounds: 0,
-                            edges_perturbed: 0,
-                            total_delta: 0.0,
-                            perturb_cost: 0.0,
-                            perturb_status: AttackStatus::Failed,
-                            degraded: Degradation::None,
-                            cut_runtime_s: 0.0,
-                            edges_removed: 0,
-                            cut_cost: 0.0,
-                            cut_status: AttackStatus::Failed,
-                        };
-                        // Perturb side.
-                        if let Some(problem) = build_problem(inst, cost) {
-                            let mut p = PerturbProblem::new(problem)
-                                .with_integer_rounding(options.integer_rounding);
-                            if let Some(cap) = options.edge_cap {
-                                p = p.with_edge_cap(cap);
-                            }
-                            let started = Instant::now();
-                            match catch_unwind(AssertUnwindSafe(|| LpPerturb::default().attack(&p)))
-                            {
-                                Ok(r) => {
-                                    record.perturb_runtime_s = r.runtime.as_secs_f64();
-                                    record.rounds = r.rounds;
-                                    record.edges_perturbed = r.num_perturbed();
-                                    record.total_delta = r.total_delta;
-                                    record.perturb_cost = r.total_cost;
-                                    record.perturb_status = r.status;
-                                    record.degraded = r.degraded;
-                                }
-                                Err(_) => {
-                                    obs::inc("harness.run_panics");
-                                    record.perturb_runtime_s = started.elapsed().as_secs_f64();
-                                }
-                            }
-                        }
-                        // Cut baseline on an identically built problem.
-                        if let Some(problem) = build_problem(inst, cost) {
-                            let started = Instant::now();
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                LpPathCover::default().attack(&problem)
-                            })) {
-                                Ok(r) => {
-                                    record.cut_runtime_s = r.runtime.as_secs_f64();
-                                    record.edges_removed = r.num_removed();
-                                    record.cut_cost = r.total_cost;
-                                    record.cut_status = r.status;
-                                }
-                                Err(_) => {
-                                    obs::inc("harness.run_panics");
-                                    record.cut_runtime_s = started.elapsed().as_secs_f64();
-                                }
-                            }
-                        }
-                        faults::clear_run_key();
-                        if let Some(j) = journal.lock().as_deref_mut() {
-                            if let Err(e) = j.append(&record) {
-                                eprintln!("warning: perturb checkpoint append failed: {e}");
-                            }
-                        }
-                        local.push(record);
-                    }
-                    records.lock().extend(local);
-                }
-            });
+                Err(runtime_s) => record.perturb_runtime_s = runtime_s,
+            }
         }
-    });
-    if joined.is_err() {
-        obs::inc("harness.worker_failures");
-        eprintln!("warning: a perturb sweep worker died; keeping completed records");
-    }
-
-    out.extend(records.into_inner());
-    out.sort_by(|a, b| {
-        (&a.hospital, a.source, a.cost.name()).cmp(&(&b.hospital, b.source, b.cost.name()))
-    });
-    out
+        // Cut baseline on an identically built problem.
+        if let Some(problem) = sweep.problem(inst, cost) {
+            match isolated(|| LpPathCover::default().attack(&problem)) {
+                Ok(r) => {
+                    record.cut_runtime_s = r.runtime.as_secs_f64();
+                    record.edges_removed = r.num_removed();
+                    record.cut_cost = r.total_cost;
+                    record.cut_status = r.status;
+                }
+                Err(runtime_s) => record.cut_runtime_s = runtime_s,
+            }
+        }
+        faults::clear_run_key();
+        sweep.emit(record);
+    })
 }
 
 /// [`run_perturb_instances_resumable`] without a journal.
@@ -541,7 +315,7 @@ mod tests {
         }
     }
 
-    fn tmp_path(name: &str) -> PathBuf {
+    fn tmp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("metro-perturb-{name}-{}", std::process::id()));
         p
@@ -551,13 +325,13 @@ mod tests {
     fn journal_round_trips_records_exactly() {
         let path = tmp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let mut j = PerturbJournal::open(&path).unwrap();
+        let mut j = CheckpointJournal::open(&path).unwrap();
         let a = record("St. \"Mary's\"\nAnnex", 12, CostType::Uniform);
         let b = record("General", 7, CostType::Lanes);
         j.append(&a).unwrap();
         j.append(&b).unwrap();
 
-        let reopened = PerturbJournal::open(&path).unwrap();
+        let reopened = CheckpointJournal::<PerturbRecord>::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         let ra = &reopened.records()[0];
         assert_eq!(ra.hospital, a.hospital);
@@ -568,7 +342,8 @@ mod tests {
         assert_eq!(ra.total_delta.to_bits(), a.total_delta.to_bits());
         assert_eq!(ra.cut_runtime_s.to_bits(), a.cut_runtime_s.to_bits());
         assert_eq!(ra.perturb_status, a.perturb_status);
-        assert!(reopened.contains(&perturb_record_key(&a)));
+        assert!(reopened.contains(&crate::checkpoint::record_key(&a)));
+        assert!(reopened.contains(&run_key(&a.hospital, a.source, a.cost, "LP-Perturb")));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -576,7 +351,7 @@ mod tests {
     fn malformed_journal_line_is_an_error() {
         let path = tmp_path("malformed");
         std::fs::write(&path, "{\"city\":\n").unwrap();
-        assert!(PerturbJournal::open(&path).is_err());
+        assert!(CheckpointJournal::<PerturbRecord>::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

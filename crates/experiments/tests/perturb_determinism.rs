@@ -1,12 +1,12 @@
 //! Pipeline-level determinism proofs for the perturb sweep: records
 //! must be byte-identical across checkpoint/resume and with decremental
-//! repair on or off (the perturbation oracle never mutates a view, so
-//! the repair flag must be completely invisible to it).
+//! repair on or off (with repair on, the oracle prunes its perturbed
+//! searches; the pruning must never show in a record).
 
 use citygen::CityPreset;
 use experiments::{
     perturb_records_to_csv, run_perturb_instances, run_perturb_instances_resumable,
-    sample_instances, ExperimentPlan, PerturbJournal, PerturbOptions,
+    sample_instances, CheckpointJournal, ExperimentPlan, PerturbOptions,
 };
 use pathattack::{AttackStatus, WeightType};
 use std::path::PathBuf;
@@ -67,7 +67,7 @@ fn resumed_sweep_emits_journaled_records_verbatim() {
     let instances = sample_instances(&net, &plan);
     let path = tmp_journal("verbatim");
 
-    let mut journal = PerturbJournal::open(&path).unwrap();
+    let mut journal = CheckpointJournal::open(&path).unwrap();
     let full = run_perturb_instances_resumable(
         &net,
         &plan,
@@ -79,7 +79,7 @@ fn resumed_sweep_emits_journaled_records_verbatim() {
     // Re-running against the completed journal skips every key and
     // emits the journaled records — byte-identical CSV, runtimes
     // included (journal floats round-trip exactly).
-    let mut journal = PerturbJournal::open(&path).unwrap();
+    let mut journal = CheckpointJournal::open(&path).unwrap();
     assert_eq!(journal.len(), full.len());
     let resumed = run_perturb_instances_resumable(
         &net,
@@ -106,11 +106,11 @@ fn sweep_killed_midway_resumes_to_the_same_csv() {
     // Simulate a kill: journal only the first half of the records, then
     // resume against that journal.
     let path = tmp_journal("midway");
-    let mut partial = PerturbJournal::open(&path).unwrap();
+    let mut partial = CheckpointJournal::open(&path).unwrap();
     for r in uninterrupted.iter().take(uninterrupted.len() / 2) {
         partial.append(r).unwrap();
     }
-    let mut journal = PerturbJournal::open(&path).unwrap();
+    let mut journal = CheckpointJournal::open(&path).unwrap();
     let resumed = run_perturb_instances_resumable(
         &net,
         &plan,

@@ -1215,14 +1215,14 @@ fn exec_route(job: &Job, ctx: &Arc<TargetContext>) -> Result<JsonValue, String> 
     Ok(JsonValue::Obj(obj))
 }
 
-/// Runs an attack; the second element of the pair reports whether the
-/// algorithm ran out of time (a breaker failure even though the
-/// response itself is `ok` with a `timed_out` status).
-fn exec_attack(
-    job: &Job,
+/// The attack problem a job names, sharing the batch's
+/// [`TargetContext`] and bounded by the job's remaining deadline: the
+/// common set-up of [`exec_attack`] and [`exec_perturb`].
+fn job_problem<'a>(
+    job: &'a Job,
     ctx: &Arc<TargetContext>,
     now: Instant,
-) -> Result<(JsonValue, bool), String> {
+) -> Result<AttackProblem<'a>, String> {
     let req = &job.request;
     let limits = RunLimits {
         deadline: job.deadline.map(|d| d.saturating_duration_since(now)),
@@ -1237,79 +1237,83 @@ fn exec_attack(
         req.rank,
         ctx,
     )
-    .map_err(|e| e.to_string())?
-    .with_limits(limits);
-    let algorithm = algorithm_by_name(&req.algorithm)?;
-    let out = algorithm.attack(&problem);
-    if out.status == AttackStatus::TimedOut {
+    .map_err(|e| e.to_string())?;
+    Ok(problem.with_limits(limits))
+}
+
+/// The fields every attack response carries, plus the exec-timeout
+/// flag: the pair [`exec_attack`] and [`exec_perturb`] return. A
+/// timeout is counted here; it is a breaker failure even though the
+/// response itself is `ok` with a `timed_out` status.
+fn attack_response(
+    mut obj: BTreeMap<String, JsonValue>,
+    status: AttackStatus,
+    total_cost: f64,
+    pstar_weight: f64,
+    algorithm: &str,
+) -> (JsonValue, bool) {
+    let timed_out = status == AttackStatus::TimedOut;
+    if timed_out {
         obs::inc("serve.requests.timeout");
         obs::inc("serve.requests.timeout.exec");
     }
-    let mut obj = BTreeMap::new();
     obj.insert(
         "status".to_string(),
-        JsonValue::Str(out.status.name().to_string()),
+        JsonValue::Str(status.name().to_string()),
     );
+    obj.insert("total_cost".to_string(), JsonValue::Num(total_cost));
+    obj.insert("pstar_weight".to_string(), JsonValue::Num(pstar_weight));
+    obj.insert(
+        "algorithm".to_string(),
+        JsonValue::Str(algorithm.to_string()),
+    );
+    (JsonValue::Obj(obj), timed_out)
+}
+
+/// Runs a cut attack; see [`attack_response`] for the returned pair.
+fn exec_attack(
+    job: &Job,
+    ctx: &Arc<TargetContext>,
+    now: Instant,
+) -> Result<(JsonValue, bool), String> {
+    let problem = job_problem(job, ctx, now)?;
+    let algorithm = algorithm_by_name(&job.request.algorithm)?;
+    let out = algorithm.attack(&problem);
+    let mut obj = BTreeMap::new();
     obj.insert(
         "removed".to_string(),
         num_arr(out.removed.iter().map(|e| e.index())),
     );
-    obj.insert("total_cost".to_string(), JsonValue::Num(out.total_cost));
     obj.insert(
         "iterations".to_string(),
         JsonValue::Num(out.iterations as f64),
     );
-    obj.insert(
-        "pstar_weight".to_string(),
-        JsonValue::Num(problem.pstar_weight()),
-    );
-    obj.insert(
-        "algorithm".to_string(),
-        JsonValue::Str(out.algorithm.clone()),
-    );
-    Ok((JsonValue::Obj(obj), out.status == AttackStatus::TimedOut))
+    Ok(attack_response(
+        obj,
+        out.status,
+        out.total_cost,
+        problem.pstar_weight(),
+        &out.algorithm,
+    ))
 }
 
-/// Runs the PATHPERTURB weight-perturbation attack. Like
-/// [`exec_attack`], the second element reports an exec timeout (a
-/// breaker failure even though the response is `ok` with a `timed_out`
-/// status). Shares the batch's [`TargetContext`]: a perturb job batches
-/// with route/attack jobs against the same (network, weight, hospital).
+/// Runs the PATHPERTURB weight-perturbation attack; see
+/// [`attack_response`] for the returned pair. Shares the batch's
+/// [`TargetContext`]: a perturb job batches with route/attack jobs
+/// against the same (network, weight, hospital).
 fn exec_perturb(
     job: &Job,
     ctx: &Arc<TargetContext>,
     now: Instant,
 ) -> Result<(JsonValue, bool), String> {
     let req = &job.request;
-    let limits = RunLimits {
-        deadline: job.deadline.map(|d| d.saturating_duration_since(now)),
-        ..RunLimits::default()
-    };
-    let problem = AttackProblem::with_path_rank_in(
-        job.resident.net(),
-        req.weight,
-        req.cost,
-        NodeId::new(req.source),
-        job.target,
-        req.rank,
-        ctx,
-    )
-    .map_err(|e| e.to_string())?
-    .with_limits(limits);
+    let problem = job_problem(job, ctx, now)?;
     let mut perturb = PerturbProblem::new(problem).with_integer_rounding(req.integer_round);
     if let Some(cap) = req.perturb_cap {
         perturb = perturb.with_edge_cap(cap);
     }
     let out = LpPerturb::default().attack(&perturb);
-    if out.status == AttackStatus::TimedOut {
-        obs::inc("serve.requests.timeout");
-        obs::inc("serve.requests.timeout.exec");
-    }
     let mut obj = BTreeMap::new();
-    obj.insert(
-        "status".to_string(),
-        JsonValue::Str(out.status.name().to_string()),
-    );
     obj.insert(
         "perturbed".to_string(),
         num_arr(out.perturbed.iter().map(|(e, _)| e.index())),
@@ -1323,22 +1327,19 @@ fn exec_perturb(
                 .collect(),
         ),
     );
-    obj.insert("total_cost".to_string(), JsonValue::Num(out.total_cost));
     obj.insert("total_delta".to_string(), JsonValue::Num(out.total_delta));
     obj.insert("rounds".to_string(), JsonValue::Num(out.rounds as f64));
     obj.insert(
         "integer_rounded".to_string(),
         JsonValue::Bool(out.integer_rounded),
     );
-    obj.insert(
-        "pstar_weight".to_string(),
-        JsonValue::Num(perturb.inner().pstar_weight()),
-    );
-    obj.insert(
-        "algorithm".to_string(),
-        JsonValue::Str(out.algorithm.clone()),
-    );
-    Ok((JsonValue::Obj(obj), out.status == AttackStatus::TimedOut))
+    Ok(attack_response(
+        obj,
+        out.status,
+        out.total_cost,
+        perturb.inner().pstar_weight(),
+        &out.algorithm,
+    ))
 }
 
 fn exec_recon(job: &Job) -> Result<JsonValue, String> {

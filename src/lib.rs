@@ -69,7 +69,7 @@ pub mod prelude {
         records_to_csv, render_experiment_table, render_rank_sweep, render_svg, render_table1,
         render_table10, render_table9, run_instances_resumable, run_perturb_instances,
         run_perturb_instances_resumable, run_plan, sample_instances, threshold_row, write_atomic,
-        CheckpointJournal, ExperimentPlan, FigureSpec, PerturbAggregateRow, PerturbJournal,
+        CheckpointJournal, ExperimentPlan, FigureSpec, JournalRecord, PerturbAggregateRow,
         PerturbOptions, PerturbRecord, RankSweepPoint,
     };
     pub use pathattack::{
@@ -77,7 +77,7 @@ pub mod prelude {
         minimal_hardening, AttackAlgorithm, AttackOutcome, AttackProblem, AttackStatus,
         CoordinatedError, CoordinatedOutcome, CostType, CriticalSegment, Degradation, FaultPlan,
         GreedyBetweenness, GreedyEdge, GreedyEig, GreedyPathCover, HardeningPlan, LpPathCover,
-        LpPerturb, PerturbOracle, PerturbProblem, PerturbResult, Rounding, RunLimits, WeightType,
+        LpPerturb, Oracle, PerturbProblem, PerturbResult, Rounding, RunLimits, WeightType,
     };
     pub use routing::{
         k_shortest_paths, k_shortest_paths_with, kth_shortest_path, AStar, Dijkstra, Direction,

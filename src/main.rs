@@ -614,18 +614,9 @@ fn cmd_experiment(args: &Args) -> ExitCode {
     if perturb_requested(args) {
         return experiment_with_perturbation(args, &net, &plan, &instances);
     }
-    let mut journal = match args.get("resume") {
-        Some(path) => match CheckpointJournal::open(path) {
-            Ok(j) => {
-                println!("resuming from {path}: {} runs already journaled", j.len());
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("cannot open checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let mut journal = match open_journal(args) {
+        Ok(j) => j,
+        Err(code) => return code,
     };
     let records = run_instances_resumable(&net, &plan, &instances, journal.as_mut());
 
@@ -674,11 +665,28 @@ fn cmd_experiment(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Opens the `--resume PATH` checkpoint journal, if the flag is given.
+fn open_journal<R: JournalRecord>(args: &Args) -> Result<Option<CheckpointJournal<R>>, ExitCode> {
+    let Some(path) = args.get("resume") else {
+        return Ok(None);
+    };
+    match CheckpointJournal::open(path) {
+        Ok(j) => {
+            println!("resuming from {path}: {} runs already journaled", j.len());
+            Ok(Some(j))
+        }
+        Err(e) => {
+            eprintln!("cannot open checkpoint {path}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
 /// `experiment --algorithm lp-perturb`: the cut-vs-perturb comparison
 /// sweep. Every instance runs both the LP-Perturb weight attack and the
 /// LP-PathCover cut baseline; the table and `--csv` carry side-by-side
-/// cost and runtime columns, and `--resume` journals to a
-/// [`PerturbJournal`].
+/// cost and runtime columns, and `--resume` journals
+/// [`PerturbRecord`]s.
 fn experiment_with_perturbation(
     args: &Args,
     net: &RoadNetwork,
@@ -690,18 +698,9 @@ fn experiment_with_perturbation(
         ..PerturbOptions::default()
     };
     options.edge_cap = parse_perturb_cap(args);
-    let mut journal = match args.get("resume") {
-        Some(path) => match PerturbJournal::open(path) {
-            Ok(j) => {
-                println!("resuming from {path}: {} runs already journaled", j.len());
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("cannot open perturb checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let mut journal = match open_journal(args) {
+        Ok(j) => j,
+        Err(code) => return code,
     };
     let records = run_perturb_instances_resumable(net, plan, instances, options, journal.as_mut());
 
