@@ -104,12 +104,7 @@ fn lp_rounding(c: &mut Criterion) {
     .expect("instance");
     let mut g = c.benchmark_group("extension_lp_rounding");
     configure(&mut g);
-    g.bench_function("deterministic", |b| {
-        b.iter(|| LpPathCover::default().attack(&problem))
-    });
-    g.bench_function("randomized_8_trials", |b| {
-        b.iter(|| LpPathCover::randomized(7, 8).attack(&problem))
-    });
+    g.bench_function("deterministic", |b| b.iter(|| LpPathCover.attack(&problem)));
     g.finish();
 }
 

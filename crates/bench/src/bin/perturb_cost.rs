@@ -14,7 +14,7 @@
 //!
 //! - **LP-Perturb** — minimum-cost weight increases until p* is
 //!   uniquely shortest. Every successful result is *certified*:
-//!   [`PerturbResult::verify`] re-runs a fresh perturbation oracle on
+//!   [`pathattack::PerturbResult::verify`] re-runs a fresh perturbation oracle on
 //!   the perturbed weights and confirms no path beats p* within the tie
 //!   margin.
 //! - **LP-PathCover** — the cut attack on the same instance, the
@@ -121,7 +121,7 @@ fn cut_sweep(
     for inst in instances {
         for &cost in &plan.cost_types {
             let problem = build_problem(net, plan, inst, cost, contexts);
-            let out = LpPathCover::default().attack(&problem);
+            let out = LpPathCover.attack(&problem);
             results.push((out.status, out.total_cost, out.num_removed()));
         }
     }

@@ -1,7 +1,7 @@
 //! The `GreedyBetweenness` extension baseline.
 
 use crate::algorithms::{AttackAlgorithm, CutLoop};
-use crate::{AttackOutcome, AttackProblem, AttackStatus, Oracle};
+use crate::{AttackOutcome, AttackProblem};
 use std::sync::Arc;
 use traffic_graph::{edge_betweenness, NodeId};
 
@@ -50,8 +50,7 @@ impl AttackAlgorithm for GreedyBetweenness {
     }
 
     fn attack(&self, problem: &AttackProblem<'_>) -> AttackOutcome {
-        let mut oracle = Oracle::new(problem);
-        let mut state = CutLoop::new(problem);
+        let state = CutLoop::new(problem);
 
         let net = problem.network();
         let n = net.num_nodes().max(1);
@@ -79,39 +78,14 @@ impl AttackAlgorithm for GreedyBetweenness {
             .and_then(|c| c.betweenness_with(self.sample_sources, problem.weight_type(), compute))
             .unwrap_or_else(|| Arc::new(compute()));
 
-        loop {
-            let Some(violating) = oracle.next_violating(problem, &state.view) else {
-                if oracle.interrupted() {
-                    return state.finish(self.name(), AttackStatus::TimedOut);
-                }
-                return state.finish(self.name(), AttackStatus::Success);
-            };
-            let pick = violating
-                .edges()
-                .iter()
-                .copied()
-                .filter(|&e| problem.is_cuttable(e) && !state.view.is_removed(e))
-                .max_by(|&a, &b| {
-                    let ra = centrality[a.index()] / problem.cost_of(a);
-                    let rb = centrality[b.index()] / problem.cost_of(b);
-                    ra.total_cmp(&rb).then_with(|| b.cmp(&a))
-                });
-            match pick {
-                Some(e) => {
-                    if !state.cut(e) {
-                        return state.finish(self.name(), AttackStatus::BudgetExhausted);
-                    }
-                }
-                None => return state.finish(self.name(), AttackStatus::Stuck),
-            }
-        }
+        state.run_greedy(self.name(), |e| centrality[e.index()] / problem.cost_of(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostType, WeightType};
+    use crate::{AttackStatus, CostType, WeightType};
     use traffic_graph::{Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     fn grid(n: usize) -> RoadNetwork {

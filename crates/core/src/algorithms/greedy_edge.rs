@@ -1,7 +1,7 @@
 //! The `GreedyEdge` baseline.
 
 use crate::algorithms::{AttackAlgorithm, CutLoop};
-use crate::{AttackOutcome, AttackProblem, AttackStatus, Oracle};
+use crate::{AttackOutcome, AttackProblem};
 
 /// Naive baseline (paper §III-A, algorithm 3): while a violating path
 /// exists, cut the **lightest** (shortest-weight) cuttable road segment
@@ -35,43 +35,15 @@ impl AttackAlgorithm for GreedyEdge {
     }
 
     fn attack(&self, problem: &AttackProblem<'_>) -> AttackOutcome {
-        let mut oracle = Oracle::new(problem);
-        let mut state = CutLoop::new(problem);
-
-        loop {
-            let Some(violating) = oracle.next_violating(problem, &state.view) else {
-                if oracle.interrupted() {
-                    return state.finish(self.name(), AttackStatus::TimedOut);
-                }
-                return state.finish(self.name(), AttackStatus::Success);
-            };
-            let pick = violating
-                .edges()
-                .iter()
-                .copied()
-                .filter(|&e| problem.is_cuttable(e) && !state.view.is_removed(e))
-                .min_by(|&a, &b| {
-                    problem
-                        .weight_of(a)
-                        .total_cmp(&problem.weight_of(b))
-                        .then_with(|| a.cmp(&b))
-                });
-            match pick {
-                Some(e) => {
-                    if !state.cut(e) {
-                        return state.finish(self.name(), AttackStatus::BudgetExhausted);
-                    }
-                }
-                None => return state.finish(self.name(), AttackStatus::Stuck),
-            }
-        }
+        // Negating reverses `total_cmp` exactly: the lightest edge wins.
+        CutLoop::new(problem).run_greedy(self.name(), |e| -problem.weight_of(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostType, WeightType};
+    use crate::{AttackStatus, CostType, WeightType};
     use traffic_graph::{EdgeAttrs, NodeId, Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     /// Two shorter parallel routes that must both be cut.

@@ -1,7 +1,7 @@
 //! The `GreedyEig` baseline.
 
 use crate::algorithms::{AttackAlgorithm, CutLoop};
-use crate::{AttackOutcome, AttackProblem, AttackStatus, Oracle};
+use crate::{AttackOutcome, AttackProblem};
 use std::sync::Arc;
 use traffic_graph::{edge_eigenscore, eigenvector_centrality};
 
@@ -53,8 +53,7 @@ impl AttackAlgorithm for GreedyEig {
     }
 
     fn attack(&self, problem: &AttackProblem<'_>) -> AttackOutcome {
-        let mut oracle = Oracle::new(problem);
-        let mut state = CutLoop::new(problem);
+        let state = CutLoop::new(problem);
         // Eigencentrality is computed once on the pre-attack view: the
         // handful of removals an attack makes barely perturbs the
         // principal eigenvector, and recomputing per cut would dominate
@@ -66,40 +65,16 @@ impl AttackAlgorithm for GreedyEig {
             .reusable_cache()
             .and_then(|c| c.eigenvector_with(self.max_iterations, self.tolerance, compute))
             .unwrap_or_else(|| Arc::new(compute()));
-
-        loop {
-            let Some(violating) = oracle.next_violating(problem, &state.view) else {
-                if oracle.interrupted() {
-                    return state.finish(self.name(), AttackStatus::TimedOut);
-                }
-                return state.finish(self.name(), AttackStatus::Success);
-            };
-            let pick = violating
-                .edges()
-                .iter()
-                .copied()
-                .filter(|&e| problem.is_cuttable(e) && !state.view.is_removed(e))
-                .max_by(|&a, &b| {
-                    let ra = edge_eigenscore(&state.view, &centrality, a) / problem.cost_of(a);
-                    let rb = edge_eigenscore(&state.view, &centrality, b) / problem.cost_of(b);
-                    ra.total_cmp(&rb).then_with(|| b.cmp(&a))
-                });
-            match pick {
-                Some(e) => {
-                    if !state.cut(e) {
-                        return state.finish(self.name(), AttackStatus::BudgetExhausted);
-                    }
-                }
-                None => return state.finish(self.name(), AttackStatus::Stuck),
-            }
-        }
+        state.run_greedy(self.name(), |e| {
+            edge_eigenscore(problem.base_view(), &centrality, e) / problem.cost_of(e)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostType, WeightType};
+    use crate::{AttackStatus, CostType, WeightType};
     use traffic_graph::{NodeId, Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     fn ladder() -> RoadNetwork {

@@ -1,11 +1,11 @@
 //! The `LP-Perturb` algorithm: minimum-cost weight perturbation by
 //! constraint generation.
 
+use crate::algorithms::solve_cover_lp;
 use crate::perturb::{PerturbProblem, PerturbResult};
-use crate::{faults, AttackStatus, Degradation, Oracle};
-use lp::{ConstraintOp, Outcome, Problem as LpProblem};
+use crate::{AttackStatus, Degradation, Oracle};
+use lp::Outcome;
 use routing::{Path, WeightOverlay};
-use std::collections::HashMap;
 use std::time::Instant;
 use traffic_graph::EdgeId;
 
@@ -14,22 +14,6 @@ use traffic_graph::EdgeId;
 /// dropped slack ever matters, the oracle finds the still-violating
 /// path again and the greedy bump repairs it, so convergence is safe.
 const EPS: f64 = 1e-9;
-
-/// Outcome of one perturbation-LP solve, classified for the fallback
-/// chain.
-#[derive(Debug, Clone, PartialEq)]
-enum PerturbRelaxation {
-    /// Fractional deltas per edge — apply them and re-query the oracle.
-    Solved(HashMap<EdgeId, f64>),
-    /// The caps make the discovered constraints unsatisfiable: no
-    /// assignment of capped deltas lengthens every violating path past
-    /// the clearance weight. Genuinely [`AttackStatus::Stuck`].
-    Infeasible,
-    /// The solver failed to produce an optimum (iteration-limit stall,
-    /// or a numerically degenerate report the formulation cannot
-    /// produce organically). The caller degrades to greedy bumping.
-    Degenerate(&'static str),
-}
 
 /// LP-relaxation perturbation attack with constraint generation
 /// (PATHPERTURB; "Optimal Edge Weight Perturbations to Attack Shortest
@@ -102,61 +86,6 @@ impl LpPerturb {
         "LP-Perturb"
     }
 
-    /// Solves the perturbation LP over the discovered constraint rows.
-    /// Each row is `(path, needed)` with `needed = clearance −
-    /// w_base(path)`.
-    fn solve_relaxation(
-        problem: &PerturbProblem<'_>,
-        constraints: &[(Path, f64)],
-    ) -> PerturbRelaxation {
-        // Variables: perturbable edges appearing in at least one row.
-        let mut var_of: HashMap<EdgeId, usize> = HashMap::new();
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for (path, _) in constraints {
-            for &e in path.edges() {
-                if problem.is_perturbable(e) && !var_of.contains_key(&e) {
-                    var_of.insert(e, edges.len());
-                    edges.push(e);
-                }
-            }
-        }
-        let inner = problem.inner();
-        let mut lp = LpProblem::minimize(edges.iter().map(|&e| inner.cost_of(e)).collect());
-        if let Some(cap) = problem.edge_cap() {
-            for v in 0..edges.len() {
-                lp.bound_var(v, cap);
-            }
-        }
-        for (path, needed) in constraints {
-            let mut coeff: HashMap<usize, f64> = HashMap::new();
-            for e in path.edges() {
-                if let Some(&v) = var_of.get(e) {
-                    *coeff.entry(v).or_insert(0.0) += 1.0;
-                }
-            }
-            let mut terms: Vec<(usize, f64)> = coeff.into_iter().collect();
-            terms.sort_by_key(|&(v, _)| v);
-            lp.add_constraint(terms, ConstraintOp::Ge, *needed);
-        }
-        if faults::lp_stall_requested() {
-            lp.set_iteration_limit(0);
-        }
-        match lp.solve() {
-            Outcome::Optimal(sol) => {
-                PerturbRelaxation::Solved(edges.iter().copied().zip(sol.x).collect())
-            }
-            // Without caps the LP is trivially feasible (raise any
-            // perturbable edge far enough), so an Infeasible report is
-            // numerical noise; with caps it is a real certificate.
-            Outcome::Infeasible if problem.edge_cap().is_some() => PerturbRelaxation::Infeasible,
-            Outcome::Infeasible => PerturbRelaxation::Degenerate("infeasible"),
-            // Costs are non-negative and deltas bounded below, so an
-            // unbounded report is always degeneracy.
-            Outcome::Unbounded => PerturbRelaxation::Degenerate("unbounded"),
-            Outcome::IterationLimit => PerturbRelaxation::Degenerate("iteration_limit"),
-        }
-    }
-
     /// Greedy fallback step: push `path` past the clearance weight by
     /// raising its cheapest perturbable edges (cap-aware), on top of the
     /// current overlay. Returns `false` when the caps leave the gap
@@ -207,38 +136,6 @@ impl LpPerturb {
             .sum()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        problem: &PerturbProblem<'_>,
-        overlay: &WeightOverlay,
-        started: Instant,
-        rounds: usize,
-        oracle_calls: u64,
-        status: AttackStatus,
-        degraded: Degradation,
-        integer_rounded: bool,
-    ) -> PerturbResult {
-        if degraded != Degradation::None && obs::enabled() {
-            obs::inc("pathattack.attack.degraded");
-        }
-        let perturbed: Vec<(EdgeId, f64)> = overlay.perturbed_edges().collect();
-        let total_cost = Self::overlay_cost(problem, overlay);
-        let total_delta = perturbed.iter().map(|&(_, d)| d).sum();
-        PerturbResult {
-            algorithm: self.name().to_string(),
-            perturbed,
-            total_cost,
-            total_delta,
-            rounds,
-            oracle_calls,
-            integer_rounded,
-            runtime: started.elapsed(),
-            status,
-            degraded,
-        }
-    }
-
     /// Runs the attack. See the type-level docs for the round structure
     /// and the fallback chain.
     pub fn attack(&self, problem: &PerturbProblem<'_>) -> PerturbResult {
@@ -267,57 +164,69 @@ impl LpPerturb {
                         // connectors — no perturbation can touch it.
                         break AttackStatus::Stuck;
                     }
-                    let known = constraints.iter().any(|(q, _)| q.edges() == p.edges());
-                    if known || degraded == Degradation::LpGreedyRounding {
-                        // Either the LP already degraded, or its latest
-                        // solution failed to clear an already-known path
-                        // (EPS-dropped slack or numerical wedge): bump
-                        // the path directly. Bumps only ever increase
-                        // deltas, so previously cleared paths stay
-                        // cleared.
-                        if known && degraded == Degradation::None {
-                            obs::inc("pathattack.perturb.lp.wedged");
-                        }
+                    // A known path means the LP's latest solution failed to
+                    // clear it (EPS-dropped slack or a numerical wedge).
+                    if degraded == Degradation::None
+                        && constraints.iter().any(|(q, _)| q.edges() == p.edges())
+                    {
+                        obs::inc("pathattack.perturb.lp.wedged");
                         degraded = Degradation::LpGreedyRounding;
-                        if !Self::greedy_bump(problem, &mut overlay, &p) {
-                            break AttackStatus::Stuck;
-                        }
-                    } else {
+                    }
+                    if degraded == Degradation::None {
                         let needed =
                             clearance - p.edges().iter().map(|&e| inner.weight_of(e)).sum::<f64>();
-                        constraints.push((p, needed));
+                        constraints.push((p.clone(), needed));
                         obs::record_value(
                             "pathattack.perturb.constraint_paths",
                             constraints.len() as u64,
                         );
-                        let relaxed = {
+                        let solved = {
                             let _timer = obs::span("pathattack.perturb.relaxation");
-                            Self::solve_relaxation(problem, &constraints)
+                            let rows = constraints.iter().map(|(q, needed)| (q, *needed));
+                            solve_cover_lp(inner, rows, problem.edge_cap())
                         };
-                        match relaxed {
-                            PerturbRelaxation::Solved(x) => {
+                        let degenerate = match solved {
+                            Some((edges, Outcome::Optimal(sol))) => {
                                 overlay.clear();
-                                for (e, d) in x {
+                                for (&e, d) in edges.iter().zip(sol.x) {
                                     if d > EPS {
                                         overlay.set(e, d);
                                     }
                                 }
+                                None
                             }
-                            PerturbRelaxation::Infeasible => break AttackStatus::Stuck,
-                            PerturbRelaxation::Degenerate(reason) => {
-                                obs::inc("pathattack.perturb.lp.degenerate");
-                                obs::inc(match reason {
-                                    "infeasible" => "pathattack.perturb.lp.degenerate.infeasible",
-                                    "unbounded" => "pathattack.perturb.lp.degenerate.unbounded",
-                                    _ => "pathattack.perturb.lp.degenerate.iteration_limit",
-                                });
-                                degraded = Degradation::LpGreedyRounding;
-                                let (p, _) = constraints.last().expect("just pushed");
-                                if !Self::greedy_bump(problem, &mut overlay, &p.clone()) {
-                                    break AttackStatus::Stuck;
-                                }
+                            // Without caps the LP is trivially feasible
+                            // (raise any perturbable edge far enough), so
+                            // an Infeasible report is numerical noise; with
+                            // caps it is a real certificate.
+                            Some((_, Outcome::Infeasible)) if problem.edge_cap().is_some() => {
+                                break AttackStatus::Stuck
                             }
+                            None => break AttackStatus::Stuck, // a row no delta reaches
+                            Some((_, Outcome::Infeasible)) => {
+                                Some("pathattack.perturb.lp.degenerate.infeasible")
+                            }
+                            // Costs are non-negative and deltas bounded
+                            // below, so unbounded is always degeneracy.
+                            Some((_, Outcome::Unbounded)) => {
+                                Some("pathattack.perturb.lp.degenerate.unbounded")
+                            }
+                            Some((_, Outcome::IterationLimit)) => {
+                                Some("pathattack.perturb.lp.degenerate.iteration_limit")
+                            }
+                        };
+                        if let Some(counter) = degenerate {
+                            obs::inc("pathattack.perturb.lp.degenerate");
+                            obs::inc(counter);
+                            degraded = Degradation::LpGreedyRounding;
                         }
+                    }
+                    // Degraded: bump the path directly. Bumps only ever
+                    // increase deltas, so cleared paths stay cleared.
+                    if degraded != Degradation::None
+                        && !Self::greedy_bump(problem, &mut overlay, &p)
+                    {
+                        break AttackStatus::Stuck;
                     }
                     if let Some(budget) = inner.budget() {
                         if Self::overlay_cost(problem, &overlay) > budget + 1e-9 {
@@ -359,23 +268,29 @@ impl LpPerturb {
             }
         }
 
-        self.finish(
-            problem,
-            &overlay,
-            started,
+        if degraded != Degradation::None && obs::enabled() {
+            obs::inc("pathattack.attack.degraded");
+        }
+        let perturbed: Vec<(EdgeId, f64)> = overlay.perturbed_edges().collect();
+        PerturbResult {
+            algorithm: self.name().to_string(),
+            total_cost: Self::overlay_cost(problem, &overlay),
+            total_delta: perturbed.iter().map(|&(_, d)| d).sum(),
+            perturbed,
             rounds,
             oracle_calls,
+            integer_rounded,
+            runtime: started.elapsed(),
             status,
             degraded,
-            integer_rounded,
-        )
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttackProblem, CostType, RunLimits, WeightType};
+    use crate::{faults, AttackProblem, CostType, RunLimits, WeightType};
     use traffic_graph::{EdgeAttrs, NodeId, Point, RoadClass, RoadNetwork, RoadNetworkBuilder};
 
     /// Three parallel routes a→d with weights 4, 6, 10; p* = the middle

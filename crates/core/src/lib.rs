@@ -60,10 +60,9 @@ mod result;
 mod search;
 mod weights;
 
-pub(crate) use algorithms::greedy_cover_multi;
 pub use algorithms::{
-    all_algorithms, all_algorithms_extended, AttackAlgorithm, GreedyBetweenness, GreedyEdge,
-    GreedyEig, GreedyPathCover, LpPathCover, LpPerturb, Rounding,
+    algorithm_by_name, all_algorithms, all_algorithms_extended, AttackAlgorithm, GreedyBetweenness,
+    GreedyEdge, GreedyEig, GreedyPathCover, LpPathCover, LpPerturb,
 };
 pub use context::{NetworkCache, TargetContext};
 pub use defense::{minimal_hardening, HardeningPlan};

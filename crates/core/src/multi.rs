@@ -14,7 +14,7 @@
 //! instance allows it — cutting an edge on one victim's `p*` would break
 //! that victim's forced route.
 
-use crate::greedy_cover_multi;
+use crate::algorithms::greedy_cover_with;
 use crate::{AttackProblem, AttackStatus, Oracle};
 use routing::Path;
 use serde::{Deserialize, Serialize};
@@ -85,9 +85,11 @@ impl std::error::Error for CoordinatedError {}
 /// Runs a coordinated attack over several Force Path Cut instances that
 /// share a network and cost model.
 ///
-/// Returns the shared cut set; `AttackStatus::Stuck` when some victim's
-/// violating path has no jointly-cuttable edge (e.g. it runs over
-/// another victim's `p*`).
+/// Returns the shared cut set; `AttackStatus::Stuck` (with an empty cut
+/// set) when some victim's violating path has no jointly-cuttable edge
+/// (e.g. it runs over another victim's `p*`), and
+/// `AttackStatus::TimedOut` (with the cut set so far) when some victim's
+/// [`crate::RunLimits`] fire. Budgets are not applied.
 ///
 /// # Errors
 ///
@@ -155,7 +157,9 @@ pub fn coordinated_attack(
     let mut constraints: Vec<Path> = Vec::new();
 
     loop {
-        let Some(cuts) = greedy_cover_multi(first, &cuttable, &constraints) else {
+        let Some(cuts) =
+            greedy_cover_with(&constraints, |e| cuttable[e.index()], |e| first.cost_of(e))
+        else {
             return Ok(CoordinatedOutcome {
                 removed: Vec::new(),
                 total_cost: 0.0,
@@ -180,12 +184,19 @@ pub fn coordinated_attack(
                 }
             }
         }
-        if !found_new {
+        // A tripped run limit makes an oracle answer `None`, the shape
+        // of success, so it must be checked before trusting `found_new`.
+        let timed_out = oracles.iter().any(Oracle::interrupted);
+        if timed_out || !found_new {
             return Ok(CoordinatedOutcome {
                 removed: cuts,
                 total_cost,
                 runtime: started.elapsed(),
-                status: AttackStatus::Success,
+                status: if timed_out {
+                    AttackStatus::TimedOut
+                } else {
+                    AttackStatus::Success
+                },
                 constraints_discovered: constraints.len(),
             });
         }
@@ -376,6 +387,24 @@ mod tests {
             coordinated_attack(&[a, d]).unwrap_err(),
             CoordinatedError::DifferentBaseViews
         );
+    }
+
+    #[test]
+    fn coordinated_call_cap_times_out() {
+        let net = funnel();
+        let capped: Vec<_> = funnel_problems(&net)
+            .into_iter()
+            .map(|p| p.with_limits(crate::RunLimits::default().with_max_oracle_calls(0)))
+            .collect();
+        let out = coordinated_attack(&capped).unwrap();
+        assert_eq!(out.status, AttackStatus::TimedOut, "{out:?}");
+        // The victims are not forced: a fresh oracle still finds a
+        // violating path for each on the (empty) cut set.
+        assert!(out.removed.is_empty());
+        for p in &funnel_problems(&net) {
+            let mut oracle = Oracle::new(p);
+            assert!(oracle.next_violating(p, p.base_view()).is_some());
+        }
     }
 
     #[test]

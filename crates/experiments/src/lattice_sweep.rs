@@ -107,7 +107,7 @@ pub fn lattice_sweep(
                 if best.len() < crate::MIN_TRIP_EDGES {
                     continue;
                 }
-                let lp = LpPathCover::default().attack(&problem);
+                let lp = LpPathCover.attack(&problem);
                 let ge = GreedyEdge.attack(&problem);
                 if !(lp.is_success() && ge.is_success()) {
                     continue;

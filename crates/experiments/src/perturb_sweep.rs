@@ -265,7 +265,7 @@ pub fn run_perturb_instances_resumable(
         }
         // Cut baseline on an identically built problem.
         if let Some(problem) = sweep.problem(inst, cost) {
-            match isolated(|| LpPathCover::default().attack(&problem)) {
+            match isolated(|| LpPathCover.attack(&problem)) {
                 Ok(r) => {
                     record.cut_runtime_s = r.runtime.as_secs_f64();
                     record.edges_removed = r.num_removed();

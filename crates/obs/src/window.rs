@@ -85,7 +85,7 @@ impl Default for WindowedHistogram {
 }
 
 impl WindowedHistogram {
-    /// A ring of [`DEFAULT_SLOTS`] slots of [`DEFAULT_INTERVAL_MS`].
+    /// A ring of `DEFAULT_SLOTS` (128) slots of `DEFAULT_INTERVAL_MS` (1 s).
     pub fn new() -> Self {
         Self::with_layout(DEFAULT_INTERVAL_MS, DEFAULT_SLOTS)
     }
@@ -178,7 +178,7 @@ impl Default for WindowedCounter {
 }
 
 impl WindowedCounter {
-    /// A ring of [`DEFAULT_SLOTS`] slots of [`DEFAULT_INTERVAL_MS`].
+    /// A ring of `DEFAULT_SLOTS` (128) slots of `DEFAULT_INTERVAL_MS` (1 s).
     pub fn new() -> Self {
         Self::with_layout(DEFAULT_INTERVAL_MS, DEFAULT_SLOTS)
     }

@@ -70,7 +70,7 @@ pub struct RepairOutcome {
 /// Construct with the intact-view table from
 /// [`crate::Dijkstra::distances_and_parents`] (backward sweep from the
 /// target), then call [`RepairTable::sync`] with each mutated view
-/// before reading distances. See the [module docs](self) for the
+/// before reading distances. The `repair` module docs describe the
 /// algorithm and its guarantees.
 #[derive(Clone)]
 pub struct RepairTable {

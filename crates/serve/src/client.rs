@@ -13,7 +13,7 @@
 //! * **Transport failures are retryable only for idempotent kinds.**
 //!   A connection that dies mid-call leaves the request's fate unknown;
 //!   re-sending is safe only if re-execution is
-//!   ([`RequestKind::is_idempotent`]). The client drops the dead
+//!   ([`crate::protocol::RequestKind::is_idempotent`]). The client drops the dead
 //!   stream, reconnects, and re-sends — or surfaces the error for
 //!   non-idempotent kinds.
 //! * **Plain errors are final.** `ok: false` without a hint (bad

@@ -12,7 +12,7 @@
 //!   crate's transport policy ([`configure_stream`]: `TCP_NODELAY`).
 //! * **reader threads** (one per connection) — frame + parse requests,
 //!   validate them against the resident networks (cheap work, early
-//!   errors), and push [`Job`]s into the [`BatchQueue`]. `stats`,
+//!   errors), and push `Job`s into the [`BatchQueue`]. `stats`,
 //!   `health`, and `ping` are answered inline. A full queue sheds with
 //!   a retry-after error; a draining server rejects new work the same
 //!   way, but jobs already admitted always get their response.
@@ -58,8 +58,8 @@ use obs::trace::TraceContext;
 use obs::{AttrValue, JsonValue};
 use parking_lot::Mutex;
 use pathattack::{
-    AttackAlgorithm, AttackProblem, AttackStatus, GreedyBetweenness, GreedyEdge, GreedyEig,
-    GreedyPathCover, LpPathCover, LpPerturb, PerturbProblem, RunLimits, TargetContext,
+    algorithm_by_name, AttackAlgorithm, AttackProblem, AttackStatus, GreedyPathCover, LpPerturb,
+    PerturbProblem, RunLimits, TargetContext,
 };
 use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -1163,17 +1163,6 @@ fn timed_out_payload(job: &Job) -> Vec<u8> {
         ok_response(job.request.id, &job.request.kind, JsonValue::Obj(obj))
     } else {
         error_response(job.request.id, "deadline exceeded in queue", None)
-    }
-}
-
-fn algorithm_by_name(name: &str) -> Result<Box<dyn AttackAlgorithm>, String> {
-    match name {
-        "lp" | "lp-pathcover" => Ok(Box::new(LpPathCover::default())),
-        "greedy-pathcover" | "pathcover" => Ok(Box::new(GreedyPathCover)),
-        "greedy-edge" | "edge" => Ok(Box::new(GreedyEdge)),
-        "greedy-eig" | "eig" => Ok(Box::new(GreedyEig::default())),
-        "greedy-betweenness" | "betweenness" => Ok(Box::new(GreedyBetweenness::default())),
-        other => Err(format!("unknown algorithm {other:?}")),
     }
 }
 

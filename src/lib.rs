@@ -73,11 +73,11 @@ pub mod prelude {
         PerturbOptions, PerturbRecord, RankSweepPoint,
     };
     pub use pathattack::{
-        all_algorithms, all_algorithms_extended, coordinated_attack, critical_segments,
-        minimal_hardening, AttackAlgorithm, AttackOutcome, AttackProblem, AttackStatus,
-        CoordinatedError, CoordinatedOutcome, CostType, CriticalSegment, Degradation, FaultPlan,
-        GreedyBetweenness, GreedyEdge, GreedyEig, GreedyPathCover, HardeningPlan, LpPathCover,
-        LpPerturb, Oracle, PerturbProblem, PerturbResult, Rounding, RunLimits, WeightType,
+        algorithm_by_name, all_algorithms, all_algorithms_extended, coordinated_attack,
+        critical_segments, minimal_hardening, AttackAlgorithm, AttackOutcome, AttackProblem,
+        AttackStatus, CoordinatedError, CoordinatedOutcome, CostType, CriticalSegment, Degradation,
+        FaultPlan, GreedyBetweenness, GreedyEdge, GreedyEig, GreedyPathCover, HardeningPlan,
+        LpPathCover, LpPerturb, Oracle, PerturbProblem, PerturbResult, RunLimits, WeightType,
     };
     pub use routing::{
         k_shortest_paths, k_shortest_paths_with, kth_shortest_path, AStar, Dijkstra, Direction,

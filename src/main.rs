@@ -173,17 +173,10 @@ fn parse_perturb_cap(args: &Args) -> Option<f64> {
 }
 
 fn parse_algorithm(args: &Args) -> Box<dyn AttackAlgorithm> {
-    match args.get("algorithm").unwrap_or("greedy-pathcover") {
-        "lp" | "lp-pathcover" => Box::new(LpPathCover::default()),
-        "greedy-pathcover" | "pathcover" => Box::new(GreedyPathCover),
-        "greedy-edge" | "edge" => Box::new(GreedyEdge),
-        "greedy-eig" | "eig" => Box::new(GreedyEig::default()),
-        "greedy-betweenness" | "betweenness" => Box::new(GreedyBetweenness::default()),
-        other => {
-            eprintln!("unknown algorithm {other:?}");
-            usage()
-        }
-    }
+    algorithm_by_name(args.get("algorithm").unwrap_or("greedy-pathcover")).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 /// Builds the city and picks the hospital/source for attack-style

@@ -68,7 +68,7 @@ fn pathcover_never_beaten_by_naive_on_cost() {
         ) else {
             continue;
         };
-        let lp = LpPathCover::default().attack(&problem);
+        let lp = LpPathCover.attack(&problem);
         let cover = GreedyPathCover.attack(&problem);
         let edge = GreedyEdge.attack(&problem);
         if lp.is_success() && cover.is_success() && edge.is_success() {

@@ -175,7 +175,7 @@ fn lp_at_most_greedy_edge_cost_deterministic() {
     let problem =
         AttackProblem::with_path_rank(&net, WeightType::Length, CostType::Uniform, s, t, 6)
             .unwrap();
-    let lp = LpPathCover::default().attack(&problem);
+    let lp = LpPathCover.attack(&problem);
     let ge = GreedyEdge.attack(&problem);
     assert!(lp.is_success() && ge.is_success());
     assert!(lp.total_cost <= ge.total_cost + 1e-9);
