@@ -19,6 +19,7 @@ use rand::{Rng, SeedableRng};
 use routing::Path;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,7 +43,10 @@ pub struct ExperimentPlan {
     pub sources_per_hospital: usize,
     /// Cost models to sweep (the paper sweeps all three).
     pub cost_types: Vec<CostType>,
-    /// Worker threads for the (hospital, source) fan-out.
+    /// Worker threads for sampling (the rank-`path_rank` Yen
+    /// enumeration of each candidate trip, see [`sample_instances`])
+    /// and for the sweep's (instance × cost) fan-out. Neither output
+    /// depends on it.
     pub threads: usize,
     /// Per-run wall-clock deadline in seconds (`None` = unlimited). A
     /// run past its deadline ends with [`AttackStatus::TimedOut`]
@@ -123,7 +127,6 @@ impl ExperimentPlan {
 }
 
 /// One sampled (source, hospital) pair with its alternative route.
-#[derive(Debug, Clone)]
 pub struct ExperimentInstance {
     /// Source intersection.
     pub source: NodeId,
@@ -133,19 +136,85 @@ pub struct ExperimentInstance {
     pub hospital: String,
     /// The chosen alternative route (rank `path_rank`).
     pub pstar: Path,
+    /// The hospital's shared tables, built while sampling with
+    /// `plan.reuse` on, so the sweep does not build them again. The
+    /// first sweep over the instance takes them: a caller that keeps
+    /// its instances does not keep every hospital's tables alive, and a
+    /// later sweep builds its own.
+    ctx: Mutex<Option<Arc<TargetContext>>>,
+}
+
+impl Clone for ExperimentInstance {
+    fn clone(&self) -> Self {
+        ExperimentInstance {
+            source: self.source,
+            target: self.target,
+            hospital: self.hospital.clone(),
+            pstar: self.pstar.clone(),
+            ctx: Mutex::new(self.ctx.lock().clone()),
+        }
+    }
+}
+
+impl fmt::Debug for ExperimentInstance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExperimentInstance")
+            .field("source", &self.source)
+            .field("target", &self.target)
+            .field("hospital", &self.hospital)
+            .field("pstar", &self.pstar)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Samples the plan's experiment instances on `net`.
 ///
-/// For each hospital, draws random source intersections until
-/// `sources_per_hospital` of them admit a rank-`path_rank` alternative
-/// route (skipping sources too close to the hospital to have that many
-/// simple paths). Deterministic in the plan seed.
+/// For each hospital in turn, draws random source intersections from
+/// one seeded stream until `sources_per_hospital` of them admit a
+/// rank-`path_rank` alternative route, skipping doorstep trips (fewer
+/// than [`crate::MIN_TRIP_EDGES`] edges) and sources too close to the
+/// hospital to have that many simple paths, and giving up after 200
+/// draws per wanted source. A hospital that falls short is reported on
+/// stderr and counted in `harness.sampling_shortfall`.
+///
+/// The Yen enumerations run on `plan.threads` workers (the calling
+/// thread is one of them), with output identical to drawing and testing
+/// one source at a time. Whether a (source, hospital) pair is accepted
+/// is a pure function of the pair, so the stream is walked serially
+/// with each verdict memoised: a pair whose Yen verdict is still
+/// unknown is tentatively accepted, all unknown verdicts are computed
+/// in parallel, and the stream is walked again until no pair is left
+/// unknown. A Yen rejection only shifts the later hospitals' draws and
+/// costs one more walk.
+///
+/// With `plan.reuse` on, each hospital's [`TargetContext`] is built
+/// once here and travels with its instances into [`run_instances`].
 pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<ExperimentInstance> {
-    let mut rng = SmallRng::seed_from_u64(plan.seed.wrapping_mul(0x9e3779b97f4a7c15));
+    let sampled = sample(net, plan);
+    obs::add("harness.sampling_shortfall", sampled.shortfall);
+    obs::add("harness.sampling_rounds", sampled.rounds as u64);
+    obs::add(
+        "harness.sampling_rank_rejections",
+        sampled.rank_rejections as u64,
+    );
+    sampled.instances
+}
+
+/// What one sampling produced, with the figures its tests check.
+struct Sampled {
+    instances: Vec<ExperimentInstance>,
+    /// Wanted sources that were never found, over all hospitals.
+    shortfall: u64,
+    /// Parallel rounds of Yen enumerations.
+    rounds: usize,
+    /// Doorstep-passing pairs whose Yen enumeration fell short.
+    rank_rejections: usize,
+}
+
+fn sample(net: &RoadNetwork, plan: &ExperimentPlan) -> Sampled {
     let hospitals: Vec<_> = net.pois_of_kind(PoiKind::Hospital).cloned().collect();
-    let mut out = Vec::new();
     let n = net.num_nodes();
+    let quota = plan.sources_per_hospital;
 
     // Cheap pre-filter: reject doorstep trips before paying for Yen.
     // It reads the same weight table every hospital's context shares.
@@ -154,37 +223,110 @@ pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<Experim
     let view = traffic_graph::GraphView::new(net);
     let mut dij = routing::Dijkstra::new(n);
 
-    for hospital in &hospitals {
-        // One backward sweep per hospital feeds every Yen enumeration
-        // below (and, via with_path_rank_in, every source's spur
-        // searches) instead of one sweep per attempted source.
-        let ctx = plan.reuse.then(|| {
-            Arc::new(TargetContext::build_with_cache(
+    // One backward sweep per hospital feeds every Yen enumeration
+    // toward it (via with_path_rank_in) instead of one per source.
+    let contexts: Vec<Option<Arc<TargetContext>>> = if plan.reuse {
+        parallel_map(&hospitals, plan.threads, |h| {
+            Some(Arc::new(TargetContext::build_with_cache(
                 net,
                 plan.weight,
-                hospital.node,
+                h.node,
                 cache.clone(),
-            ))
-        });
-        let mut found = 0usize;
-        let mut attempts = 0usize;
-        while found < plan.sources_per_hospital && attempts < 200 * plan.sources_per_hospital {
-            attempts += 1;
-            let source = NodeId::new(rng.gen_range(0..n));
-            if source == hospital.node {
-                continue;
+            )))
+        })
+    } else {
+        vec![None; hospitals.len()]
+    };
+
+    let mut rng = SmallRng::seed_from_u64(plan.seed.wrapping_mul(0x9e3779b97f4a7c15));
+    let mut draws: Vec<NodeId> = Vec::new();
+    // Memoised verdicts per (source, hospital index).
+    let mut long_enough: HashMap<(NodeId, usize), bool> = HashMap::new();
+    let mut ranked: HashMap<(NodeId, usize), Option<Path>> = HashMap::new();
+    let mut rounds = 0;
+    loop {
+        // One walk of the stream: the serial sampler, with unknown Yen
+        // verdicts tentatively accepted.
+        let mut picks: Vec<(usize, NodeId)> = Vec::new();
+        let mut unknown: Vec<(NodeId, usize)> = Vec::new();
+        let mut short: Vec<(usize, usize, usize)> = Vec::new();
+        let mut pos = 0;
+        for (hi, hospital) in hospitals.iter().enumerate() {
+            let mut found = 0usize;
+            let mut attempts = 0usize;
+            while found < quota && attempts < 200 * quota {
+                attempts += 1;
+                if pos == draws.len() {
+                    draws.push(NodeId::new(rng.gen_range(0..n)));
+                }
+                let source = draws[pos];
+                pos += 1;
+                if source == hospital.node {
+                    continue;
+                }
+                let passes = *long_enough.entry((source, hi)).or_insert_with(|| {
+                    dij.shortest_path(&view, |e| weight[e.index()], source, hospital.node)
+                        .is_some_and(|p| p.len() >= crate::MIN_TRIP_EDGES)
+                });
+                if !passes {
+                    continue;
+                }
+                match ranked.get(&(source, hi)) {
+                    // Too few simple paths: redraw.
+                    Some(None) => continue,
+                    Some(Some(_)) => {}
+                    None if unknown.contains(&(source, hi)) => {}
+                    None => unknown.push((source, hi)),
+                }
+                picks.push((hi, source));
+                found += 1;
             }
-            match dij.shortest_path(&view, |e| weight[e.index()], source, hospital.node) {
-                Some(p) if p.len() >= crate::MIN_TRIP_EDGES => {}
-                _ => continue,
+            if found < quota {
+                short.push((hi, found, attempts));
             }
-            let problem = match &ctx {
+        }
+
+        if unknown.is_empty() {
+            let mut shortfall = 0;
+            for (hi, found, attempts) in short {
+                let missing = quota - found;
+                shortfall += missing as u64;
+                eprintln!(
+                    "warning: hospital `{}` sampled only {found}/{quota} sources \
+                     after {attempts} attempts ({missing} short); aggregates \
+                     for this hospital average fewer runs than planned",
+                    hospitals[hi].name,
+                );
+            }
+            let instances = picks
+                .into_iter()
+                .map(|(hi, source)| ExperimentInstance {
+                    source,
+                    target: hospitals[hi].node,
+                    hospital: hospitals[hi].name.clone(),
+                    pstar: ranked[&(source, hi)].clone().expect("accepted pair"),
+                    ctx: Mutex::new(contexts[hi].clone()),
+                })
+                .collect();
+            let rank_rejections = ranked.values().filter(|p| p.is_none()).count();
+            return Sampled {
+                instances,
+                shortfall,
+                rounds,
+                rank_rejections,
+            };
+        }
+
+        rounds += 1;
+        let verdicts = parallel_map(&unknown, plan.threads, |&(source, hi)| {
+            let target = hospitals[hi].node;
+            let problem = match &contexts[hi] {
                 Some(ctx) => AttackProblem::with_path_rank_in(
                     net,
                     plan.weight,
                     CostType::Uniform,
                     source,
-                    hospital.node,
+                    target,
                     plan.path_rank,
                     ctx,
                 ),
@@ -193,34 +335,53 @@ pub fn sample_instances(net: &RoadNetwork, plan: &ExperimentPlan) -> Vec<Experim
                     plan.weight,
                     CostType::Uniform,
                     source,
-                    hospital.node,
+                    target,
                     plan.path_rank,
                 ),
             };
-            // Too few simple paths (or any other invalid pair): redraw.
-            let Ok(problem) = problem else {
-                continue;
-            };
-            out.push(ExperimentInstance {
-                source,
-                target: hospital.node,
-                hospital: hospital.name.clone(),
-                pstar: problem.pstar().clone(),
-            });
-            found += 1;
-        }
-        if found < plan.sources_per_hospital {
-            let shortfall = plan.sources_per_hospital - found;
-            obs::add("harness.sampling_shortfall", shortfall as u64);
-            eprintln!(
-                "warning: hospital `{}` sampled only {found}/{} sources \
-                 after {attempts} attempts ({shortfall} short); aggregates \
-                 for this hospital average fewer runs than planned",
-                hospital.name, plan.sources_per_hospital,
-            );
-        }
+            problem.ok().map(|p| p.pstar().clone())
+        });
+        ranked.extend(unknown.into_iter().zip(verdicts));
     }
-    out
+}
+
+/// `f` over `items` on up to `threads` workers, the calling thread
+/// being one of them, in input order. A panic in a worker is re-raised
+/// on the calling thread with its original payload.
+fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let workers = threads.max(1).min(items.len());
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        for (i, r) in done {
+            out[i] = Some(r);
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every item mapped"))
+        .collect()
 }
 
 /// Runs one experiment set: every sampled instance × every cost type ×
@@ -415,11 +576,12 @@ pub(crate) fn isolated<T>(run: impl FnOnce() -> T) -> Result<T, f64> {
 /// The worker pool both sweeps (cut and perturb) run on.
 ///
 /// Seeds the output with the journal's records and skips their keys,
-/// builds one [`TargetContext`] per hospital on one [`NetworkCache`]
-/// (with `plan.reuse`), then hands every (instance × cost) pair to
-/// `body` on `plan.threads` workers. Each worker arms the plan's fault
-/// plan and, when telemetry is on, records into a private registry
-/// (passed to `body`) that it merges once at the end. The output is
+/// takes one [`TargetContext`] per hospital from the instances or
+/// builds it on one [`NetworkCache`] (with `plan.reuse`), then hands
+/// every (instance × cost) pair to `body` on `plan.threads` workers.
+/// Each worker arms the plan's fault plan and, when telemetry is on,
+/// records into a private registry (passed to `body`) that it merges
+/// once at the end. The output is
 /// sorted by (hospital, source, cost, algorithm), so thread count and
 /// resume never change it.
 pub(crate) fn run_sweep<R: JournalRecord>(
@@ -439,9 +601,24 @@ pub(crate) fn run_sweep<R: JournalRecord>(
     // sweep: every oracle built below reuses the hospital's reverse
     // table and the centrality-based algorithms reuse one shared
     // centrality computation (all bit-identical to the per-run path).
-    let mut contexts = HashMap::new();
+    // Contexts the sampler built travel with the instances. They are
+    // taken out whether or not this sweep uses them, so they are freed
+    // with the sweep; only the missing ones (or ones built for another
+    // weight model) are built below, on the same cache.
+    let mut contexts: HashMap<NodeId, Arc<TargetContext>> = HashMap::new();
+    for inst in instances {
+        let carried = inst.ctx.lock().take().filter(|c| {
+            c.matches_net(net) && c.weight_type() == plan.weight && c.target() == inst.target
+        });
+        if let Some(ctx) = carried.filter(|_| plan.reuse) {
+            contexts.entry(inst.target).or_insert(ctx);
+        }
+    }
     if plan.reuse {
-        let cache = Arc::new(NetworkCache::new());
+        let cache = contexts
+            .values()
+            .next()
+            .map_or_else(|| Arc::new(NetworkCache::new()), |c| c.cache().clone());
         for inst in instances {
             contexts.entry(inst.target).or_insert_with(|| {
                 Arc::new(TargetContext::build_with_cache(
@@ -517,6 +694,7 @@ pub(crate) fn run_sweep<R: JournalRecord>(
 mod tests {
     use super::*;
     use pathattack::AttackStatus;
+    use traffic_graph::EdgeId;
 
     #[test]
     fn smoke_plan_runs_all_algorithms() {
@@ -572,5 +750,188 @@ mod tests {
             assert_eq!(x.edges_removed, y.edges_removed);
             assert!((x.cost_removed - y.cost_removed).abs() < 1e-9);
         }
+    }
+
+    /// The sampler as it was before sampling ran on threads: draws and
+    /// tests one source at a time. Returns (source, target, hospital,
+    /// p* edges) per instance and the total shortfall.
+    #[allow(clippy::type_complexity)]
+    fn serial_reference(
+        net: &RoadNetwork,
+        plan: &ExperimentPlan,
+    ) -> (Vec<(NodeId, NodeId, String, Vec<EdgeId>)>, u64) {
+        let mut rng = SmallRng::seed_from_u64(plan.seed.wrapping_mul(0x9e3779b97f4a7c15));
+        let weight = plan.weight.compute(net);
+        let view = traffic_graph::GraphView::new(net);
+        let mut dij = routing::Dijkstra::new(net.num_nodes());
+        let (mut out, mut shortfall) = (Vec::new(), 0);
+        for hospital in net.pois_of_kind(PoiKind::Hospital) {
+            let (mut found, mut attempts) = (0, 0);
+            let quota = plan.sources_per_hospital;
+            while found < quota && attempts < 200 * quota {
+                attempts += 1;
+                let source = NodeId::new(rng.gen_range(0..net.num_nodes()));
+                if source == hospital.node {
+                    continue;
+                }
+                match dij.shortest_path(&view, |e| weight[e.index()], source, hospital.node) {
+                    Some(p) if p.len() >= crate::MIN_TRIP_EDGES => {}
+                    _ => continue,
+                }
+                let Ok(problem) = AttackProblem::with_path_rank(
+                    net,
+                    plan.weight,
+                    CostType::Uniform,
+                    source,
+                    hospital.node,
+                    plan.path_rank,
+                ) else {
+                    continue;
+                };
+                let edges = problem.pstar().edges().to_vec();
+                out.push((source, hospital.node, hospital.name.clone(), edges));
+                found += 1;
+            }
+            shortfall += (quota - found) as u64;
+        }
+        (out, shortfall)
+    }
+
+    /// A 6×6 grid with a 60-node cul-de-sac hanging off one corner and
+    /// an isolated two-node street. Three hospitals, in this order: at
+    /// the end of the cul-de-sac (a source on it is no doorstep trip but
+    /// has one simple path, so Yen rejects it), on the isolated street
+    /// (no source ever qualifies: a shortfall), and inside the grid.
+    fn cul_de_sac_city() -> RoadNetwork {
+        use traffic_graph::{Point, RoadClass, RoadNetworkBuilder};
+        let mut b = RoadNetworkBuilder::new("cul-de-sac");
+        let grid: Vec<NodeId> = (0..36)
+            .map(|i| b.add_node(Point::new((i % 6) as f64 * 100.0, (i / 6) as f64 * 100.0)))
+            .collect();
+        for i in 0..36 {
+            if i % 6 < 5 {
+                b.add_street(grid[i], grid[i + 1], RoadClass::Residential);
+            }
+            if i < 30 {
+                b.add_street(grid[i], grid[i + 6], RoadClass::Residential);
+            }
+        }
+        let mut tail = grid[0];
+        for k in 1..=60 {
+            let next = b.add_node(Point::new(-100.0 * k as f64, 0.0));
+            b.add_street(tail, next, RoadClass::Residential);
+            tail = next;
+        }
+        let far = b.add_node(Point::new(5000.0, 5000.0));
+        let far2 = b.add_node(Point::new(5100.0, 5000.0));
+        b.add_street(far, far2, RoadClass::Residential);
+        b.attach_poi("End", PoiKind::Hospital, Point::new(-6100.0, 0.0));
+        b.attach_poi("Island", PoiKind::Hospital, Point::new(5050.0, 5010.0));
+        b.attach_poi("Centre", PoiKind::Hospital, Point::new(250.0, 240.0));
+        b.build()
+    }
+
+    #[test]
+    fn sampling_is_thread_invariant() {
+        let mut cases = Vec::new();
+        for city in [CityPreset::Chicago, CityPreset::Boston] {
+            for seed in 1..=3 {
+                let mut plan = ExperimentPlan::smoke(city, WeightType::Time, seed);
+                plan.reuse = seed != 3;
+                cases.push((plan.city.build(plan.scale, plan.seed), plan));
+            }
+        }
+        let mut plan = ExperimentPlan::smoke(CityPreset::Chicago, WeightType::Length, 4);
+        plan.sources_per_hospital = 3;
+        cases.push((cul_de_sac_city(), plan));
+
+        let (mut rewalked, mut fell_short) = (false, false);
+        for (net, mut plan) in cases {
+            let (want, want_shortfall) = serial_reference(&net, &plan);
+            for threads in 1..=4 {
+                plan.threads = threads;
+                let got = sample(&net, &plan);
+                let got_rows: Vec<_> = got
+                    .instances
+                    .iter()
+                    .map(|i| {
+                        (
+                            i.source,
+                            i.target,
+                            i.hospital.clone(),
+                            i.pstar.edges().to_vec(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    got_rows,
+                    want,
+                    "{} seed {} threads {threads}",
+                    net.name(),
+                    plan.seed
+                );
+                assert_eq!(got.shortfall, want_shortfall, "{}", net.name());
+                rewalked |= got.rank_rejections > 0 && got.rounds > 1;
+                fell_short |= got.shortfall > 0;
+            }
+        }
+        assert!(
+            rewalked,
+            "no plan made Yen reject a doorstep-passing source"
+        );
+        assert!(fell_short, "no plan fell short of its quota");
+    }
+
+    #[test]
+    fn parallel_map_keeps_order_and_reraises_worker_panics() {
+        let items: Vec<u32> = (0..40).collect();
+        for threads in [1, 3] {
+            assert_eq!(
+                parallel_map(&items, threads, |&i| i * 2),
+                (0..80).step_by(2).collect::<Vec<_>>()
+            );
+            let caught = catch_unwind(|| {
+                parallel_map(&items, threads, |&i| {
+                    if i == 37 {
+                        std::panic::panic_any("item 37");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 37"));
+        }
+    }
+
+    #[test]
+    fn instances_carry_their_hospital_context() {
+        let plan = ExperimentPlan::smoke(CityPreset::Boston, WeightType::Time, 6);
+        let net = plan.city.build(plan.scale, plan.seed);
+        let instances = sample_instances(&net, &plan);
+        assert!(!instances.is_empty());
+        for inst in &instances {
+            let ctx = inst.ctx.lock().clone().expect("reuse on: context carried");
+            assert_eq!(ctx.target(), inst.target);
+            assert_eq!(ctx.weight_type(), plan.weight);
+        }
+        // The sweep takes the contexts, and a second sweep over the
+        // same instances builds its own: the records do not change.
+        let first = run_instances(&net, &plan, &instances);
+        assert!(instances.iter().all(|i| i.ctx.lock().is_none()));
+        let again = run_instances(&net, &plan, &instances);
+        let outcome = |r: &ExperimentRecord| {
+            let (h, s, c, a) = r.coords();
+            let cut = (r.edges_removed, r.cost_removed.to_bits(), r.status);
+            (h.to_string(), s, c, a.to_string(), cut)
+        };
+        let first: Vec<_> = first.iter().map(outcome).collect();
+        assert_eq!(first, again.iter().map(outcome).collect::<Vec<_>>());
+        let off = ExperimentPlan {
+            reuse: false,
+            ..plan
+        };
+        assert!(sample_instances(&net, &off)
+            .iter()
+            .all(|i| i.ctx.lock().is_none()));
     }
 }

@@ -6,7 +6,7 @@
 //! 100th/200th shortest paths. Both need an efficient k-shortest-simple-
 //! paths enumerator on city-scale graphs.
 //!
-//! Two implementation notes that matter at this scale:
+//! Three implementation notes that matter at this scale:
 //!
 //! - **Lawler's optimization**: spur paths are only computed from the
 //!   deviation index of the parent path onward, avoiding re-deriving
@@ -16,19 +16,123 @@
 //!   so exact distances-to-target on the *caller's* view (computed once
 //!   by a backward Dijkstra) stay admissible, and each spur search
 //!   explores a thin corridor instead of the whole city.
+//! - **Spur-only candidates**: a rank-100 enumeration generates
+//!   thousands of candidates but accepts only 100. A candidate stores
+//!   its spur edges and shares its root with the parent path through an
+//!   `Rc`; duplicates are caught by a fingerprint map with a full edge
+//!   comparison on a hit (exact, not probabilistic). Nodes are built
+//!   only when a candidate is accepted, so a candidate costs its spur
+//!   edges plus a fixed header (the bound is stated on
+//!   [`k_shortest_paths_with`]), and callers can afford to run
+//!   enumerations on several threads at once.
 
 use crate::{acquire_scratch, CancelToken, Direction, Path};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 use std::sync::Arc;
-use traffic_graph::{EdgeId, GraphView, NodeId};
+use traffic_graph::{EdgeId, GraphView, NodeId, RoadNetwork};
+
+/// A route Yen has generated: the first `deviation` edges of `parent`
+/// (an accepted path, shared) followed by the spur edges.
+#[derive(Debug)]
+struct Route {
+    parent: Rc<Path>,
+    /// Index at which this route deviates from its parent (Lawler).
+    deviation: usize,
+    spur: Box<[EdgeId]>,
+    /// The route stored before this one under the same fingerprint.
+    next: Option<Rc<Route>>,
+}
+
+impl Route {
+    fn root(&self) -> &[EdgeId] {
+        &self.parent.edges()[..self.deviation]
+    }
+
+    /// Edge count of root ‖ spur.
+    fn len(&self) -> usize {
+        self.deviation + self.spur.len()
+    }
+
+    /// The route's edges, root ‖ spur.
+    fn edges(&self) -> impl Iterator<Item = &EdgeId> {
+        self.root().iter().chain(self.spur.iter())
+    }
+
+    /// Whether this route's edges are exactly `root ‖ spur`.
+    fn is(&self, root: &[EdgeId], spur: &[EdgeId]) -> bool {
+        self.len() == root.len() + spur.len() && self.edges().eq(root.iter().chain(spur))
+    }
+
+    /// The full path (nodes and edges), built when the route is
+    /// accepted. The nodes of a search path are its source followed by
+    /// each edge's target, so this equals the parent's nodes up to the
+    /// spur node followed by the spur path's nodes after it.
+    fn to_path(&self, net: &RoadNetwork, total: f64) -> Path {
+        let mut edges = Vec::with_capacity(self.len());
+        edges.extend_from_slice(self.root());
+        edges.extend_from_slice(&self.spur);
+        let mut nodes = Vec::with_capacity(self.len() + 1);
+        nodes.extend_from_slice(&self.parent.nodes()[..=self.deviation]);
+        nodes.extend(self.spur.iter().map(|&e| net.edge_target(e)));
+        Path::from_parts(nodes, edges, total)
+    }
+}
+
+/// One step of the route fingerprint: a cheap per-id fold (FNV-1a on
+/// whole ids). Fingerprints only pick the bucket; membership is decided
+/// by comparing edges, so a collision costs a comparison, never a
+/// wrong answer.
+fn fold(h: u64, e: EdgeId) -> u64 {
+    (h ^ e.index() as u64).wrapping_mul(0x100_0000_01b3)
+}
+
+const FOLD_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Every route generated so far (accepted or still a candidate), keyed
+/// by fingerprint; routes sharing a fingerprint chain through
+/// [`Route::next`].
+#[derive(Default)]
+struct RouteSet {
+    by_fingerprint: HashMap<u64, Rc<Route>>,
+}
+
+impl RouteSet {
+    fn contains(&self, fingerprint: u64, root: &[EdgeId], spur: &[EdgeId]) -> bool {
+        let mut at = self.by_fingerprint.get(&fingerprint);
+        while let Some(route) = at {
+            if route.is(root, spur) {
+                return true;
+            }
+            at = route.next.as_ref();
+        }
+        false
+    }
+
+    /// Stores `root ‖ spur` (known absent) and returns the shared route.
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        parent: &Rc<Path>,
+        deviation: usize,
+        spur: &[EdgeId],
+    ) -> Rc<Route> {
+        let route = Rc::new(Route {
+            parent: parent.clone(),
+            deviation,
+            spur: spur.into(),
+            next: self.by_fingerprint.remove(&fingerprint),
+        });
+        self.by_fingerprint.insert(fingerprint, route.clone());
+        route
+    }
+}
 
 /// Candidate entry in Yen's B-heap, ordered cheapest-first.
-#[derive(Debug)]
 struct Candidate {
-    path: Path,
-    /// Index at which this candidate deviates from its parent (Lawler).
-    deviation: usize,
+    total: f64,
+    route: Rc<Route>,
 }
 
 impl PartialEq for Candidate {
@@ -47,13 +151,13 @@ impl PartialOrd for Candidate {
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed for min-heap; ties broken by edge count then edge ids
-        // so results are deterministic.
+        // so results are deterministic. Routes are distinct, so no two
+        // candidates compare equal and the pop order is fixed.
         other
-            .path
-            .total_weight()
-            .total_cmp(&self.path.total_weight())
-            .then_with(|| other.path.len().cmp(&self.path.len()))
-            .then_with(|| other.path.edges().cmp(self.path.edges()))
+            .total
+            .total_cmp(&self.total)
+            .then_with(|| other.route.len().cmp(&self.route.len()))
+            .then_with(|| other.route.edges().cmp(self.route.edges()))
     }
 }
 
@@ -143,6 +247,29 @@ impl Default for YenConfig {
 }
 
 /// [`k_shortest_paths`] with explicit [`YenConfig`].
+///
+/// # Memory
+///
+/// With `V` nodes, `E` edges, `c` candidates generated (the
+/// `routing.yen.candidates_per_query` histogram) and `S` spur edges
+/// stored over them (the `routing.yen.candidate_edges` counter), one
+/// enumeration holds at most, in heap bytes:
+///
+/// - **one full path per accepted route**: 4 bytes per node and per
+///   edge plus a 172-byte header (the shared `Path`, its slots in the
+///   accepted and returned lists and in the per-round common-prefix
+///   table);
+/// - **per candidate, its spur edges plus a fixed header**: `4·S` plus
+///   147 bytes per candidate (the shared route, its heap slot and its
+///   fingerprint-table slot, each with its container's growth slack);
+/// - **the pooled O(V) scratch and per-spur working state**: 80 bytes
+///   per node and 41 per edge (the pooled Dijkstra/A\* pair and
+///   spur-edge buffer, the reverse table unless shared, the working
+///   view, the per-round prefix tables, and one search's queue and
+///   path), plus 1 KiB of fixed overhead.
+///
+/// `crates/routing/tests/yen_memory.rs` checks the peak against this
+/// formula with a counting allocator.
 pub fn k_shortest_paths_with<F>(
     view: &GraphView<'_>,
     weight: F,
@@ -177,6 +304,7 @@ where
     let mut spur_searches: u64 = 0;
     let mut candidates_generated: u64 = 0;
     let mut duplicate_candidates: u64 = 0;
+    let mut candidate_edges: u64 = 0;
 
     // Admissible heuristic: a caller-shared distance table, exact
     // distances to target on the caller's view, or the trivial zero
@@ -199,10 +327,12 @@ where
     // Working view: caller's removals plus temporary spur removals.
     let mut work = view.clone();
 
-    let mut accepted: Vec<(Path, usize)> = vec![(first, 0)];
+    let first = Rc::new(first);
+    let mut routes = RouteSet::default();
+    let first_fingerprint = first.edges().iter().fold(FOLD_SEED, |h, &e| fold(h, e));
+    routes.insert(first_fingerprint, &first, first.len(), &[]);
+    let mut accepted: Vec<(Rc<Path>, usize)> = vec![(first, 0)];
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-    let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
-    seen.insert(accepted[0].0.edges().to_vec());
 
     while accepted.len() < k {
         if let Some(token) = &config.cancel {
@@ -228,11 +358,14 @@ where
             })
             .collect();
 
-        // Cumulative prefix weights of `prev`.
+        // Cumulative prefix weights and prefix fingerprints of `prev`.
         let mut prefix_w = Vec::with_capacity(prev.len() + 1);
+        let mut prefix_fp = Vec::with_capacity(prev.len() + 1);
         prefix_w.push(0.0);
+        prefix_fp.push(FOLD_SEED);
         for &e in prev.edges() {
             prefix_w.push(prefix_w.last().unwrap() + weight(e));
+            prefix_fp.push(fold(*prefix_fp.last().unwrap(), e));
         }
 
         #[allow(clippy::needless_range_loop)] // i indexes nodes, edges and prefix weights together
@@ -270,22 +403,16 @@ where
                     .astar
                     .shortest_path(&work, &weight, |v| rev[v.index()], spur_node, target)
             {
-                let mut edges = prev.edges()[..i].to_vec();
-                edges.extend_from_slice(spur.edges());
-                // Membership test on the borrowed slice first: cloning
-                // the edge list for an already-seen candidate would be
-                // pure allocator churn on the hottest Yen branch.
-                if seen.contains(edges.as_slice()) {
+                let root = &prev.edges()[..i];
+                let fingerprint = spur.edges().iter().fold(prefix_fp[i], |h, &e| fold(h, e));
+                if routes.contains(fingerprint, root, spur.edges()) {
                     duplicate_candidates += 1;
                 } else {
-                    seen.insert(edges.clone());
                     candidates_generated += 1;
-                    let mut nodes = prev.nodes()[..=i].to_vec();
-                    nodes.extend_from_slice(&spur.nodes()[1..]);
-                    let total = prefix_w[i] + spur.total_weight();
+                    candidate_edges += spur.len() as u64;
                     heap.push(Candidate {
-                        path: Path::from_parts(nodes, edges, total),
-                        deviation: i,
+                        total: prefix_w[i] + spur.total_weight(),
+                        route: routes.insert(fingerprint, &prev, i, spur.edges()),
                     });
                 }
             }
@@ -297,7 +424,10 @@ where
         }
 
         match heap.pop() {
-            Some(c) => accepted.push((c.path, c.deviation)),
+            Some(c) => {
+                let path = c.route.to_path(net, c.total);
+                accepted.push((Rc::new(path), c.route.deviation));
+            }
             None => break,
         }
     }
@@ -305,10 +435,17 @@ where
     obs::add("routing.yen.queries", 1);
     obs::add("routing.yen.spur_searches", spur_searches);
     obs::add("routing.yen.duplicate_candidates", duplicate_candidates);
+    obs::add("routing.yen.candidate_edges", candidate_edges);
     obs::record_value("routing.yen.candidates_per_query", candidates_generated);
     obs::record_value("routing.yen.paths_per_query", accepted.len() as u64);
 
-    accepted.into_iter().map(|(p, _)| p).collect()
+    // Candidates and stored routes hold the accepted paths' `Rc`s;
+    // release them so each path is handed out without a copy.
+    drop((heap, routes));
+    accepted
+        .into_iter()
+        .map(|(p, _)| Rc::try_unwrap(p).unwrap_or_else(|p| (*p).clone()))
+        .collect()
 }
 
 /// Convenience wrapper returning only the `rank`-th shortest path
