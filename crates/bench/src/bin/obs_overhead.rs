@@ -12,8 +12,8 @@
 //! shipping default — every instrumented scope costs one relaxed atomic
 //! load — so `disabled_ms` doubles as the uninstrumented baseline.
 
-use bench::pick_far_source;
 use citygen::{CityPreset, Scale};
+use experiments::pick_far_source;
 use pathattack::{AttackAlgorithm, AttackProblem, CostType, GreedyPathCover, WeightType};
 use std::time::Instant;
 

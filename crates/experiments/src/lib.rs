@@ -12,6 +12,8 @@
 //! - [`threshold_row`] — Table X.
 //! - [`render_svg`] — Figures 1–4.
 //! - `render_table*` — ASCII tables matching the paper's layout.
+//! - [`PaperRecord`] — every table and figure of one configuration,
+//!   building each city and sweeping each (city, weight) set once.
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@ mod harness;
 mod lattice_sweep;
 mod metrics;
 mod perturb_sweep;
+mod record;
 mod sweep;
 mod tables;
 mod threshold;
@@ -57,6 +60,9 @@ pub use metrics::{
 pub use perturb_sweep::{
     aggregate_perturb, perturb_records_to_csv, run_perturb_instances,
     run_perturb_instances_resumable, PerturbAggregateRow, PerturbOptions, PerturbRecord,
+};
+pub use record::{
+    pick_far_source, Figure, PaperRecord, RecordConfig, EXPERIMENT_TABLES, FIGURES, TABLES,
 };
 pub use sweep::{rank_sweep, render_rank_sweep, RankSweepPoint};
 pub use tables::{render_experiment_table, render_table1, render_table10, render_table9};

@@ -1,0 +1,364 @@
+//! The paper record: Tables I–X and Figures 1–4 from one configuration.
+//!
+//! A [`PaperRecord`] builds each city preset at most once and sweeps
+//! each (city, weight) set at most once, however many artifacts read
+//! it: Tables II–VIII and Table IX render from the same records, and
+//! Table I, Table X and the figures reuse the built cities.
+
+use crate::harness::{run_instances, sample_instances, ExperimentPlan};
+use crate::metrics::{aggregate, city_average, ExperimentRecord};
+use crate::tables::{render_experiment_table, render_table1, render_table10, render_table9};
+use crate::threshold::threshold_row;
+use crate::viz::{render_svg, FigureSpec};
+use citygen::{summarize, CityPreset, Scale};
+use pathattack::{AttackAlgorithm, AttackProblem, CostType, GreedyPathCover, WeightType};
+use std::collections::HashMap;
+use traffic_graph::{GraphView, NodeId, PoiKind, RoadNetwork};
+
+/// Number of tables in the paper (Tables I–X).
+pub const TABLES: usize = 10;
+
+/// The (city, weight) set behind each of Tables II–VIII, in paper order.
+pub const EXPERIMENT_TABLES: [(usize, CityPreset, WeightType); 7] = [
+    (2, CityPreset::Boston, WeightType::Length),
+    (3, CityPreset::Boston, WeightType::Time),
+    (4, CityPreset::SanFrancisco, WeightType::Length),
+    (5, CityPreset::SanFrancisco, WeightType::Time),
+    (6, CityPreset::Chicago, WeightType::Length),
+    (7, CityPreset::Chicago, WeightType::Time),
+    (8, CityPreset::LosAngeles, WeightType::Time),
+];
+
+/// The (city, hospital substring, weight, cost) behind Figures 1–4.
+pub const FIGURES: [(usize, CityPreset, &str, WeightType, CostType); 4] = [
+    (
+        1,
+        CityPreset::Boston,
+        "Brigham",
+        WeightType::Length,
+        CostType::Width,
+    ),
+    (
+        2,
+        CityPreset::SanFrancisco,
+        "UCSF",
+        WeightType::Length,
+        CostType::Width,
+    ),
+    (
+        3,
+        CityPreset::Chicago,
+        "Northwestern",
+        WeightType::Length,
+        CostType::Uniform,
+    ),
+    (
+        4,
+        CityPreset::LosAngeles,
+        "Downtown",
+        WeightType::Time,
+        CostType::Lanes,
+    ),
+];
+
+/// Knobs shared by every table and figure of one record.
+#[derive(Debug, Clone)]
+pub struct RecordConfig {
+    /// City generation scale.
+    pub scale: Scale,
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Sources sampled per hospital (paper: 10).
+    pub sources_per_hospital: usize,
+    /// Alternative-route rank (paper: 100).
+    pub path_rank: usize,
+}
+
+impl Default for RecordConfig {
+    fn default() -> Self {
+        RecordConfig {
+            scale: Scale::Small,
+            seed: 42,
+            sources_per_hospital: 3,
+            path_rank: 20,
+        }
+    }
+}
+
+impl RecordConfig {
+    fn plan(&self, city: CityPreset, weight: WeightType) -> ExperimentPlan {
+        let mut plan = ExperimentPlan::paper(city, weight, self.scale, self.seed);
+        plan.sources_per_hospital = self.sources_per_hospital;
+        plan.path_rank = self.path_rank;
+        plan
+    }
+}
+
+/// One rendered figure.
+#[derive(Debug, Clone)]
+pub struct Figure {
+    /// File name the figure is saved under (`figN_<city>.svg`).
+    pub file_name: String,
+    /// The SVG document.
+    pub svg: String,
+    /// Road segments the figure's attack removed.
+    pub removed: usize,
+}
+
+/// Renders the paper's tables and figures for one [`RecordConfig`],
+/// building each city and sweeping each (city, weight) set on first
+/// use only.
+#[derive(Debug)]
+pub struct PaperRecord {
+    cfg: RecordConfig,
+    cities: HashMap<CityPreset, RoadNetwork>,
+    sets: HashMap<(CityPreset, WeightType), Vec<ExperimentRecord>>,
+}
+
+impl PaperRecord {
+    /// An empty record; nothing is built until an artifact asks for it.
+    pub fn new(cfg: RecordConfig) -> Self {
+        PaperRecord {
+            cfg,
+            cities: HashMap::new(),
+            sets: HashMap::new(),
+        }
+    }
+
+    fn city(&mut self, preset: CityPreset) -> &RoadNetwork {
+        self.cities
+            .entry(preset)
+            .or_insert_with(|| preset.build(self.cfg.scale, self.cfg.seed))
+    }
+
+    /// The records of one (city, weight) set, swept on first use.
+    fn records(&mut self, city: CityPreset, weight: WeightType) -> &[ExperimentRecord] {
+        if !self.sets.contains_key(&(city, weight)) {
+            let plan = self.cfg.plan(city, weight);
+            let net = self.city(city);
+            let records = run_instances(net, &plan, &sample_instances(net, &plan));
+            self.sets.insert((city, weight), records);
+        }
+        &self.sets[&(city, weight)]
+    }
+
+    /// The records behind one of Tables II–VIII; `None` for any other
+    /// table number.
+    pub fn table_records(&mut self, number: usize) -> Option<&[ExperimentRecord]> {
+        let (_, city, weight) = EXPERIMENT_TABLES.into_iter().find(|t| t.0 == number)?;
+        Some(self.records(city, weight))
+    }
+
+    /// Renders one of Tables I–X by its paper number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `number` is not in `1..=TABLES`.
+    pub fn table(&mut self, number: usize) -> String {
+        match number {
+            1 => render_table1(&CityPreset::ALL.map(|p| summarize(self.city(p)))),
+            2..=8 => {
+                let (_, city, weight) = EXPERIMENT_TABLES[number - 2];
+                let rows = aggregate(self.records(city, weight));
+                render_experiment_table(
+                    &format!("TABLE {}", roman(number)),
+                    city.name(),
+                    weight,
+                    &rows,
+                )
+            }
+            9 => {
+                let mut cells = Vec::new();
+                for preset in CityPreset::ALL {
+                    for weight in WeightType::ALL {
+                        cells.extend(city_average(self.records(preset, weight)));
+                    }
+                }
+                render_table9(&cells)
+            }
+            10 => {
+                let (rank, sources, seed) = (
+                    self.cfg.path_rank,
+                    self.cfg.sources_per_hospital,
+                    self.cfg.seed,
+                );
+                // Boston, San Francisco and Chicago, as in the paper.
+                let rows = [
+                    CityPreset::Boston,
+                    CityPreset::SanFrancisco,
+                    CityPreset::Chicago,
+                ]
+                .map(|p| {
+                    let net = self.city(p);
+                    threshold_row(net, WeightType::Time, rank, rank * 2, sources, seed)
+                });
+                render_table10(&rows)
+            }
+            other => panic!("no table {other}"),
+        }
+    }
+
+    /// Renders one of Figures 1–4 by its paper number: a GreedyPathCover
+    /// attack toward the figure's hospital from a far source, at the
+    /// configured rank or, where the city is too small for it, the
+    /// largest halving of it that is solvable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `number` is not in `1..=4` or the instance cannot be
+    /// set up at any rank.
+    pub fn figure(&mut self, number: usize) -> Figure {
+        let (_, preset, hospital_sub, weight, cost) = *FIGURES
+            .iter()
+            .find(|f| f.0 == number)
+            .unwrap_or_else(|| panic!("no figure {number}"));
+        let (rank, seed) = (self.cfg.path_rank, self.cfg.seed);
+        let city = self.city(preset);
+        let hospital = city
+            .pois_of_kind(PoiKind::Hospital)
+            .find(|p| p.name.contains(hospital_sub))
+            .unwrap_or_else(|| panic!("{preset} preset lacks hospital {hospital_sub}"));
+        let source = pick_far_source(city, hospital.node, weight, seed);
+        let problem = std::iter::successors(Some(rank), |r| Some(r / 2))
+            .take_while(|&r| r >= 2)
+            .find_map(|r| {
+                AttackProblem::with_path_rank(city, weight, cost, source, hospital.node, r).ok()
+            })
+            .expect("figure instance solvable at some rank");
+        let outcome = GreedyPathCover.attack(&problem);
+        outcome.verify(&problem).expect("figure attack verifies");
+        let svg = render_svg(
+            city,
+            &FigureSpec {
+                pstar: problem.pstar().clone(),
+                removed: outcome.removed.clone(),
+                perturbed: Vec::new(),
+                source,
+                target: hospital.node,
+                title: format!(
+                    "Fig. {number}: {} — destination {}, weight {}, cost {}",
+                    preset.name(),
+                    hospital.name,
+                    weight.name(),
+                    cost.name()
+                ),
+            },
+        );
+        Figure {
+            file_name: format!(
+                "fig{number}_{}.svg",
+                preset.name().to_lowercase().replace(' ', "_")
+            ),
+            svg,
+            removed: outcome.num_removed(),
+        }
+    }
+}
+
+/// Picks a deterministic source far from the target (mirrors the paper's
+/// long random trips): a high-but-not-extreme distance percentile,
+/// rotated by `seed`.
+pub fn pick_far_source(
+    city: &RoadNetwork,
+    target: NodeId,
+    weight: WeightType,
+    seed: u64,
+) -> NodeId {
+    let w = weight.compute(city);
+    let view = GraphView::new(city);
+    let mut dij = routing::Dijkstra::new(city.num_nodes());
+    let dist = dij.distances(
+        &view,
+        |e| w[e.index()],
+        target,
+        routing::Direction::Backward,
+    );
+    let mut nodes: Vec<usize> = (0..city.num_nodes())
+        .filter(|&v| dist[v].is_finite() && v != target.index())
+        .collect();
+    nodes.sort_by(|&a, &b| dist[a].total_cmp(&dist[b]));
+    let idx = nodes
+        .len()
+        .saturating_sub(1 + (seed as usize % (nodes.len() / 10 + 1)));
+    NodeId::new(nodes[idx])
+}
+
+/// Roman numeral of a table number, for table titles.
+fn roman(n: usize) -> &'static str {
+    ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
+        .get(n.wrapping_sub(1))
+        .copied()
+        .unwrap_or("?")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::run_plan;
+
+    fn tiny() -> RecordConfig {
+        RecordConfig {
+            scale: Scale::Custom(0.03),
+            seed: 5,
+            sources_per_hospital: 1,
+            path_rank: 8,
+        }
+    }
+
+    #[test]
+    fn table1_has_four_rows() {
+        let table = PaperRecord::new(tiny()).table(1);
+        // Title, header, one row per preset.
+        assert_eq!(table.lines().count(), 2 + 4, "{table}");
+        for preset in CityPreset::ALL {
+            assert!(table.contains(preset.name()), "{table}");
+        }
+    }
+
+    #[test]
+    fn experiment_table_renders() {
+        let s = PaperRecord::new(tiny()).table(7);
+        assert!(s.contains("Chicago"));
+        assert!(s.contains("TIME"));
+        assert!(s.contains("GreedyPathCover"));
+    }
+
+    #[test]
+    fn figure_generates_svg() {
+        let fig = PaperRecord::new(tiny()).figure(3);
+        assert!(fig.svg.starts_with("<svg"));
+        assert_eq!(fig.file_name, "fig3_chicago.svg");
+    }
+
+    #[test]
+    fn roman_numerals() {
+        assert_eq!(roman(7), "VII");
+        assert_eq!(roman(10), "X");
+        assert_eq!(roman(0), "?");
+    }
+
+    /// Table IX rendered after Tables II–VIII reads their records, and
+    /// must equal Table IX rendered from one fresh `run_plan` per set.
+    #[test]
+    fn table9_from_shared_records_matches_fresh_sweeps() {
+        let cfg = tiny();
+        let mut record = PaperRecord::new(cfg.clone());
+        for (n, _, _) in EXPERIMENT_TABLES {
+            record.table(n);
+        }
+        assert_eq!(record.sets.len(), EXPERIMENT_TABLES.len());
+        let shared = record.table(9);
+        // Table IX added only the one set no other table reads (LA,
+        // LENGTH); every city was built once.
+        assert_eq!(record.sets.len(), 8);
+        assert_eq!(record.cities.len(), 4);
+
+        let mut cells = Vec::new();
+        for preset in CityPreset::ALL {
+            for weight in WeightType::ALL {
+                cells.extend(city_average(&run_plan(&cfg.plan(preset, weight))));
+            }
+        }
+        assert_eq!(shared, render_table9(&cells));
+    }
+}

@@ -209,24 +209,19 @@ where
 
 /// Tuning knobs for [`k_shortest_paths_with`].
 ///
-/// The default enables the reverse-distance A\* heuristic for spur
-/// searches; disabling it (plain Dijkstra spurs, the textbook variant)
-/// exists for the workspace's ablation benches.
-#[derive(Debug, Clone)]
+/// Spur searches are A\* guided by exact distances-to-target: computed
+/// once on the caller's view, or shared by the caller.
+#[derive(Debug, Clone, Default)]
 pub struct YenConfig {
-    /// Guide spur searches with exact distances-to-target computed once
-    /// on the caller's view.
-    pub reverse_heuristic: bool,
     /// Precomputed exact distances-to-target, shared across calls.
     ///
     /// Must be indexed by node id, cover every node of the network, and
     /// hold exact shortest distances to `target` under the same `weight`
     /// on a view whose live-edge set is a **superset** of the search
     /// view's (removals only lengthen shortest paths, so such a table
-    /// stays a consistent A\* heuristic). When set, it takes precedence
-    /// over `reverse_heuristic` and saves the per-call backward Dijkstra
-    /// — the main cross-run reuse win for repeated enumerations toward
-    /// one target.
+    /// stays a consistent A\* heuristic). When set, it saves the
+    /// per-call backward Dijkstra — the main cross-run reuse win for
+    /// repeated enumerations toward one target.
     pub shared_reverse: Option<Arc<Vec<f64>>>,
     /// Cooperative cancellation: checked between spur searches and
     /// propagated into the inner Dijkstra/A* loops. A cancelled
@@ -234,16 +229,6 @@ pub struct YenConfig {
     /// than `k`); callers sharing the token must check it rather than
     /// interpret a short result as path exhaustion.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for YenConfig {
-    fn default() -> Self {
-        YenConfig {
-            reverse_heuristic: true,
-            shared_reverse: None,
-            cancel: None,
-        }
-    }
 }
 
 /// [`k_shortest_paths`] with explicit [`YenConfig`].
@@ -306,20 +291,16 @@ where
     let mut duplicate_candidates: u64 = 0;
     let mut candidate_edges: u64 = 0;
 
-    // Admissible heuristic: a caller-shared distance table, exact
-    // distances to target on the caller's view, or the trivial zero
-    // heuristic (degrading A* to Dijkstra).
+    // Admissible heuristic: a caller-shared distance table, or exact
+    // distances to target on the caller's view.
     let owned_rev: Vec<f64>;
     let rev: &[f64] = if let Some(shared) = &config.shared_reverse {
         debug_assert!(shared.len() >= n, "shared reverse table too short");
         shared
-    } else if config.reverse_heuristic {
+    } else {
         owned_rev = scratch
             .dijkstra
             .distances(view, &weight, target, Direction::Backward);
-        &owned_rev
-    } else {
-        owned_rev = vec![0.0; n];
         &owned_rev
     };
     scratch.astar.set_cancel(config.cancel.clone());
@@ -632,28 +613,6 @@ mod tests {
         let paths = k_shortest_paths(&view, len(&net), nodes[0], nodes[0], 5);
         assert_eq!(paths.len(), 1);
         assert!(paths[0].is_empty());
-    }
-
-    #[test]
-    fn heuristic_and_plain_variants_agree() {
-        let (net, nodes) = yen_example();
-        let view = GraphView::new(&net);
-        let fast = k_shortest_paths(&view, len(&net), nodes[0], nodes[5], 8);
-        let plain = k_shortest_paths_with(
-            &view,
-            len(&net),
-            nodes[0],
-            nodes[5],
-            8,
-            &YenConfig {
-                reverse_heuristic: false,
-                ..YenConfig::default()
-            },
-        );
-        assert_eq!(fast.len(), plain.len());
-        for (a, b) in fast.iter().zip(&plain) {
-            assert!((a.total_weight() - b.total_weight()).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use obs::TelemetrySink;
 use std::io;
 
 /// Every `--key value` flag the CLI accepts, across all subcommands.
-pub const KNOWN_FLAGS: [&str; 36] = [
+pub const KNOWN_FLAGS: [&str; 39] = [
     "city",
     "scale",
     "seed",
@@ -46,13 +46,16 @@ pub const KNOWN_FLAGS: [&str; 36] = [
     "chaos",
     "perturb-cap",
     "integer-round",
+    "table",
+    "fig",
+    "out",
 ];
 
 /// Flags that take no value (presence alone sets them).
 pub const BOOLEAN_FLAGS: [&str; 2] = ["once", "integer-round"];
 
 /// Every subcommand the CLI dispatches on, in usage order.
-pub const SUBCOMMANDS: [&str; 11] = [
+pub const SUBCOMMANDS: [&str; 12] = [
     "generate",
     "attack",
     "recon",
@@ -64,11 +67,12 @@ pub const SUBCOMMANDS: [&str; 11] = [
     "serve",
     "trace",
     "chaos",
+    "reproduce",
 ];
 
 /// Usage text printed on bad invocations; documents every known flag.
 pub const USAGE: &str =
-    "usage: metro-attack <generate|attack|recon|harden|isolate|impact|coordinate|experiment|serve|trace|chaos> \
+    "usage: metro-attack <generate|attack|recon|harden|isolate|impact|coordinate|experiment|serve|trace|chaos|reproduce> \
 [--city boston|sf|chicago|la] [--scale small|medium|paper|x10|mega|<f>] [--seed N] \
 [--rank K] [--weight length|time] [--cost uniform|lanes|width] \
 [--algorithm lp|greedy-pathcover|greedy-edge|greedy-eig|greedy-betweenness|lp-perturb] \
@@ -79,7 +83,7 @@ pub const USAGE: &str =
 [--listen ADDR:PORT] [--workers N] [--queue-depth N] [--batch-max N] \
 [--drain-deadline SECS] [--slow-ms N] [--slow-log FILE] \
 [--addr HOST:PORT] [--interval SECS] [--once] [--chaos SPEC] \
-[--perturb-cap DELTA] [--integer-round]";
+[--perturb-cap DELTA] [--integer-round] [--table N] [--fig N] [--out DIR]";
 
 /// Destination of the `--metrics` telemetry report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,6 +137,7 @@ pub fn command_span_name(cmd: &str) -> &'static str {
         "serve" => "harness.cmd.serve",
         "trace" => "harness.cmd.trace",
         "chaos" => "harness.cmd.chaos",
+        "reproduce" => "harness.cmd.reproduce",
         _ => "harness.cmd.other",
     }
 }
@@ -175,6 +180,18 @@ mod tests {
             USAGE.contains("lp-perturb"),
             "usage omits the lp-perturb algorithm"
         );
+    }
+
+    /// The `reproduce` surface must stay wired: the subcommand listed,
+    /// and its three flags known, valued and in the usage text.
+    #[test]
+    fn reproduce_flags_are_wired() {
+        assert!(SUBCOMMANDS.contains(&"reproduce"));
+        for flag in ["table", "fig", "out"] {
+            assert!(KNOWN_FLAGS.contains(&flag), "--{flag} not a known flag");
+            assert!(!BOOLEAN_FLAGS.contains(&flag), "--{flag} takes a value");
+        }
+        assert!(USAGE.contains("[--table N] [--fig N] [--out DIR]"));
     }
 
     /// Guards the `--scale` surface against drift: every named tier that

@@ -15,6 +15,8 @@
 //!                       [--queue-depth N] [--deadline SECS] [--drain-deadline SECS]
 //!                       [--chaos SPEC]
 //! metro-attack chaos    --addr HOST:PORT [--listen 127.0.0.1:0] [--chaos SPEC]
+//! metro-attack reproduce [--table N] [--fig N] [--scale small] [--sources 3]
+//!                       [--rank 20] [--out results]
 //! ```
 //!
 //! Every subcommand prints a human-readable report; `attack --svg` also
@@ -23,10 +25,12 @@
 //! long-lived query service from the `serve` crate until SIGTERM/ctrl-c
 //! drains it; with `--chaos SPEC` the server hides behind an in-process
 //! chaos proxy injecting seeded connection faults. `chaos` runs the
-//! same proxy standalone in front of any running server.
+//! same proxy standalone in front of any running server. `reproduce`
+//! regenerates the paper's Tables I–X and Figures 1–4.
 
 use metro_attack::attack::{coordinated_attack, minimal_hardening};
 use metro_attack::cli::{command_span_name, MetricsMode, BOOLEAN_FLAGS, KNOWN_FLAGS, USAGE};
+use metro_attack::experiments::{PaperRecord, RecordConfig, FIGURES, TABLES};
 use metro_attack::prelude::*;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -744,6 +748,84 @@ fn experiment_with_perturbation(
     ExitCode::SUCCESS
 }
 
+/// `reproduce`: the paper's Tables I–X and Figures 1–4, or only the
+/// `--table N` / `--fig N` asked for, printed and written to `--out DIR`
+/// (default `results`) as `tableN.txt`, `tableN_records.csv` (Tables
+/// II–VIII) and `figN_<city>.svg`. One [`PaperRecord`] builds each city
+/// and sweeps each (city, weight) set once for the whole run.
+fn cmd_reproduce(args: &Args) -> ExitCode {
+    let pick = |key: &str, max: usize| -> Option<usize> {
+        args.get(key)?;
+        let n = args.num(key, 0usize);
+        if !(1..=max).contains(&n) {
+            eprintln!("--{key} must be between 1 and {max}");
+            usage()
+        }
+        Some(n)
+    };
+    let (tables, figures) = match (pick("table", TABLES), pick("fig", FIGURES.len())) {
+        (None, None) => ((1..=TABLES).collect(), FIGURES.map(|f| f.0).to_vec()),
+        (table, fig) => (Vec::from_iter(table), Vec::from_iter(fig)),
+    };
+    let defaults = RecordConfig::default();
+    let cfg = RecordConfig {
+        scale: parse_scale(args),
+        seed: args.num("seed", defaults.seed),
+        sources_per_hospital: args.num("sources", defaults.sources_per_hospital),
+        path_rank: args.num("rank", defaults.path_rank),
+    };
+    // The attacker's route is the rank-th shortest; rank 1 is the
+    // shortest path itself and leaves nothing to attack.
+    if cfg.path_rank < 2 {
+        eprintln!("--rank must be at least 2");
+        usage()
+    }
+    eprintln!(
+        "scale {}, seed {}, {} sources/hospital, path rank {}",
+        cfg.scale.cli_name(),
+        cfg.seed,
+        cfg.sources_per_hospital,
+        cfg.path_rank
+    );
+    let dir = std::path::Path::new(args.get("out").unwrap_or("results"));
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        write_atomic(&path, bytes).map_err(|e| eprintln!("cannot write {}: {e}", path.display()))
+    };
+
+    let mut record = PaperRecord::new(cfg);
+    for n in tables {
+        let text = record.table(n);
+        println!("{text}");
+        if write(&format!("table{n}.txt"), text.as_bytes()).is_err() {
+            return ExitCode::FAILURE;
+        }
+        if let Some(records) = record.table_records(n) {
+            let csv = records_to_csv(records);
+            if write(&format!("table{n}_records.csv"), csv.as_bytes()).is_err() {
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    for n in figures {
+        let fig = record.figure(n);
+        if write(&fig.file_name, fig.svg.as_bytes()).is_err() {
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "wrote {} ({} KiB, {} removed segments)",
+            dir.join(&fig.file_name).display(),
+            fig.svg.len() / 1024,
+            fig.removed
+        );
+    }
+    ExitCode::SUCCESS
+}
+
 fn cmd_serve(args: &Args) -> ExitCode {
     let workers = match serve::resolve_workers(args.get("workers")) {
         Ok(n) => n,
@@ -1076,6 +1158,7 @@ fn main() -> ExitCode {
             "serve" => cmd_serve(&args),
             "trace" => cmd_trace(&args),
             "chaos" => cmd_chaos(&args),
+            "reproduce" => cmd_reproduce(&args),
             _ => usage(),
         }
     };

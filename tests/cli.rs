@@ -136,10 +136,69 @@ fn bad_usage_exits_nonzero() {
     assert!(!ok);
 }
 
+/// `reproduce` writes each artifact it is asked for into `--out`: the
+/// table text, the records CSV behind Tables II–VIII, and the SVG.
+#[test]
+fn reproduce_writes_table_records_and_figure() {
+    let dir = std::env::temp_dir().join(format!("ma-cli-reproduce-{}", std::process::id()));
+    let (ok, stdout, stderr) = run(&[
+        "reproduce",
+        "--table",
+        "2",
+        "--fig",
+        "1",
+        "--scale",
+        "0.03",
+        "--sources",
+        "1",
+        "--rank",
+        "8",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("TABLE II"), "{stdout}");
+    let table = std::fs::read_to_string(dir.join("table2.txt")).unwrap();
+    assert!(stdout.contains(&table));
+    let csv = std::fs::read_to_string(dir.join("table2_records.csv")).unwrap();
+    assert!(csv.lines().count() > 1, "{csv}");
+    let svg = std::fs::read_to_string(dir.join("fig1_boston.svg")).unwrap();
+    assert!(svg.starts_with("<svg"));
+    // Only what was asked for.
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bad `reproduce` arguments are usage errors (exit 2 with the usage
+/// text), never panics.
+#[test]
+fn reproduce_rejects_bad_arguments() {
+    for args in [
+        &["reproduce", "--bogus"][..],
+        &["reproduce", "--table", "11"],
+        &["reproduce", "--table", "0"],
+        &["reproduce", "--fig", "5"],
+        &["reproduce", "--fig", "two"],
+        &["reproduce", "--fig", "1", "--rank", "1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_metro-attack"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: metro-attack"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn usage_documents_every_known_flag() {
     let (ok, _, stderr) = run(&["help-me"]);
     assert!(!ok);
+    for cmd in metro_attack::cli::SUBCOMMANDS {
+        assert!(stderr.contains(cmd), "usage output omits {cmd}:\n{stderr}");
+    }
     for flag in metro_attack::cli::KNOWN_FLAGS {
         assert!(
             stderr.contains(&format!("--{flag}")),
