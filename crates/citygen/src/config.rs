@@ -56,7 +56,8 @@ impl Scale {
     /// Parses a CLI `--scale` value: a named tier (`small`, `medium`,
     /// `paper`, `x10`, `mega`) or a bare linear factor (`0.05`, `2.5`).
     ///
-    /// Returns `None` for anything else so callers own the error path.
+    /// Returns `None` for anything else, including a factor that is not
+    /// finite or not above 0, so callers own the error path.
     pub fn from_cli(value: &str) -> Option<Scale> {
         match value {
             "small" => Some(Scale::Small),
@@ -64,7 +65,11 @@ impl Scale {
             "paper" => Some(Scale::Paper),
             "x10" => Some(Scale::X10),
             "mega" => Some(Scale::Mega),
-            other => other.parse().ok().map(Scale::Custom),
+            other => other
+                .parse::<f64>()
+                .ok()
+                .filter(|f| f.is_finite() && *f > 0.0)
+                .map(Scale::Custom),
         }
     }
 

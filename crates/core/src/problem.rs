@@ -308,7 +308,7 @@ impl<'g> AttackProblem<'g> {
     /// [`routing::RepairTable`] and uses its exact distances on the
     /// mutated view to prune alternative-path searches; results are
     /// byte-identical either way (the repair-off path exists for the
-    /// determinism tests and the `perf_repair` ablation bench).
+    /// determinism tests and the `repair_counters` pop-count gate).
     pub fn with_repair(mut self, repair: bool) -> Self {
         self.repair = repair;
         self

@@ -60,7 +60,7 @@ pub struct ExperimentPlan {
     /// Share one [`pathattack::TargetContext`] per hospital across all
     /// runs of the set (default). The shared tables are bit-identical to
     /// the per-run computations, so records do not change; disabling
-    /// this exists for the perf bench's before/after comparison.
+    /// this exists for the `reuse_counters` sweep-count gate.
     pub reuse: bool,
     /// Sweep [`pathattack::all_algorithms_extended`] instead of the
     /// paper's four (adds the centrality-heavy extension baselines).
@@ -68,7 +68,7 @@ pub struct ExperimentPlan {
     /// Decremental distance repair inside the oracles (default). The
     /// repaired tables only prune work, so records are byte-identical
     /// either way; the off switch exists for the determinism tests and
-    /// the `perf_repair` ablation bench.
+    /// the `repair_counters` pop-count gate.
     pub repair: bool,
 }
 

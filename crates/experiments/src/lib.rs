@@ -61,9 +61,7 @@ pub use perturb_sweep::{
     aggregate_perturb, perturb_records_to_csv, run_perturb_instances,
     run_perturb_instances_resumable, PerturbAggregateRow, PerturbOptions, PerturbRecord,
 };
-pub use record::{
-    pick_far_source, Figure, PaperRecord, RecordConfig, EXPERIMENT_TABLES, FIGURES, TABLES,
-};
+pub use record::{Figure, PaperRecord, RecordConfig, EXPERIMENT_TABLES, FIGURES, TABLES};
 pub use sweep::{rank_sweep, render_rank_sweep, RankSweepPoint};
 pub use tables::{render_experiment_table, render_table1, render_table10, render_table9};
 pub use threshold::{threshold_for_plan, threshold_row, ThresholdRow};

@@ -258,12 +258,7 @@ impl PaperRecord {
 /// Picks a deterministic source far from the target (mirrors the paper's
 /// long random trips): a high-but-not-extreme distance percentile,
 /// rotated by `seed`.
-pub fn pick_far_source(
-    city: &RoadNetwork,
-    target: NodeId,
-    weight: WeightType,
-    seed: u64,
-) -> NodeId {
+fn pick_far_source(city: &RoadNetwork, target: NodeId, weight: WeightType, seed: u64) -> NodeId {
     let w = weight.compute(city);
     let view = GraphView::new(city);
     let mut dij = routing::Dijkstra::new(city.num_nodes());

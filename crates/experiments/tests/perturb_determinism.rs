@@ -1,15 +1,18 @@
 //! Pipeline-level determinism proofs for the perturb sweep: records
 //! must be byte-identical across checkpoint/resume and with decremental
 //! repair on or off (with repair on, the oracle prunes its perturbed
-//! searches; the pruning must never show in a record).
+//! searches; the pruning must never show in a record). Every successful
+//! perturbation on each paper city must also pass its independent
+//! certificate, [`pathattack::PerturbResult::verify`].
 
 use citygen::CityPreset;
 use experiments::{
     perturb_records_to_csv, run_perturb_instances, run_perturb_instances_resumable,
     sample_instances, CheckpointJournal, ExperimentPlan, PerturbOptions,
 };
-use pathattack::{AttackStatus, WeightType};
+use pathattack::{AttackProblem, AttackStatus, LpPerturb, PerturbProblem, WeightType};
 use std::path::PathBuf;
+use traffic_graph::GraphView;
 
 fn smoke_plan(seed: u64) -> ExperimentPlan {
     ExperimentPlan::smoke(CityPreset::Chicago, WeightType::Time, seed)
@@ -155,4 +158,41 @@ fn thread_count_does_not_change_results() {
         mask_runtimes(&perturb_records_to_csv(&a)),
         mask_runtimes(&perturb_records_to_csv(&b)),
     );
+}
+
+#[test]
+fn every_successful_perturbation_is_certified_on_all_four_cities() {
+    for city in CityPreset::ALL {
+        let plan = ExperimentPlan::smoke(city, WeightType::Time, 42);
+        let net = plan.city.build(plan.scale, plan.seed);
+        let mut successes = 0;
+        for inst in &sample_instances(&net, &plan) {
+            for &cost in &plan.cost_types {
+                let problem = PerturbProblem::new(
+                    AttackProblem::new(
+                        GraphView::new(&net),
+                        plan.weight,
+                        cost,
+                        inst.source,
+                        inst.target,
+                        inst.pstar.clone(),
+                    )
+                    .expect("sampled instance stays buildable"),
+                );
+                let result = LpPerturb::default().attack(&problem);
+                if result.is_success() {
+                    successes += 1;
+                    if let Err(e) = result.verify(&problem) {
+                        panic!(
+                            "{}: {} -> {}: {e}",
+                            city.name(),
+                            inst.source.index(),
+                            inst.hospital
+                        );
+                    }
+                }
+            }
+        }
+        assert!(successes > 0, "{}: no perturbation succeeded", city.name());
+    }
 }

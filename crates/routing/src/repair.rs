@@ -114,9 +114,9 @@ impl RepairTable {
     ///
     /// The default fallback threshold is `max(64, n / 2)` orphans: a
     /// full rebuild settles all `n` nodes, so the decremental path wins
-    /// until the orphan region covers about half the graph (measured in
-    /// `perf_repair` — an `n / 8` threshold rebuilds an order of
-    /// magnitude more often and loses its whole wall-clock advantage).
+    /// until the orphan region covers about half the graph (measured by
+    /// the former `perf_repair` — an `n / 8` threshold rebuilds an order
+    /// of magnitude more often and loses its whole wall-clock advantage).
     pub fn new(
         target: NodeId,
         base_dist: Arc<Vec<f64>>,

@@ -9,7 +9,7 @@
 //! convention — a pure FNV-1a hash of `(seed, site, connection id)`
 //! mapped to `[0, 1)` and compared against the site's rate — so a test
 //! can *predict* which connections a plan hits
-//! ([`ChaosPlan::selects`]) and the `resilience_proof` bench replays
+//! ([`ChaosPlan::selects`]) and the `chaos_resilience` suite replays
 //! the exact same fault schedule on every run with the same seed.
 //!
 //! Connection ids are assigned by accept order starting at 0. The

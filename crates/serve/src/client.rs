@@ -2,9 +2,8 @@
 //! propagation for metro-serve callers.
 //!
 //! [`ResilientClient`] is the one client the rest of the tree uses —
-//! `serve_load`, the `trace` dashboard, the `resilience_proof` bench,
-//! and the integration tests — so the retry contract lives in exactly
-//! one place:
+//! the `trace` dashboard and the integration tests — so the retry
+//! contract lives in exactly one place:
 //!
 //! * **Server sheds are always retryable.** An `ok: false` response
 //!   carrying `retry_after_ms` means the request was *never executed*
@@ -68,9 +67,8 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// A policy that never retries and never waits: one attempt, no
-    /// backoff, no attempt timeout. Benchmarks measuring the raw
-    /// server use this so client-side resilience cannot mask a
-    /// regression.
+    /// backoff, no attempt timeout. Reference runs straight at a server
+    /// use this so client-side resilience cannot mask a server fault.
     pub fn no_retry() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,

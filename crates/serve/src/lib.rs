@@ -22,7 +22,7 @@
 //!   restart-budgeted supervisor ([`supervisor`]), per-city circuit
 //!   breakers fast-fail unhealthy resident networks ([`breaker`]), a
 //!   seeded chaos proxy injects deterministic connection faults for
-//!   tests and the `resilience_proof` bench ([`chaos`]), and a
+//!   tests and `metro-attack chaos` ([`chaos`]), and a
 //!   retrying, reconnecting client enforces the retry contract
 //!   ([`client`]). The `health` request kind reports breaker state,
 //!   worker liveness, and drain status.
@@ -83,9 +83,8 @@ pub use supervisor::RestartBudget;
 /// Resolves a worker-pool size from an optional `--workers` /
 /// `--threads`-style flag value.
 ///
-/// This is the one parser shared by the `experiment` subcommand, the
-/// `serve` subcommand, and the `serve_load` generator, so every entry
-/// point sizes its pool identically: an explicit value must be a
+/// This is the one parser shared by the `experiment` and `serve`
+/// subcommands, so both size their pools identically: an explicit value must be a
 /// positive integer; absent, the machine's available parallelism wins
 /// (falling back to 4 when it cannot be queried).
 ///

@@ -22,8 +22,8 @@
 //! `result` object or `"ok": false` with an `error` string (and a
 //! `retry_after_ms` hint when the server shed the request under load).
 //! Responses serialize through [`obs::JsonValue`], whose object keys are
-//! sorted — identical results are byte-identical on the wire, which the
-//! `serve_load` bench exploits to prove batching never changes answers.
+//! sorted — identical results are byte-identical on the wire, which
+//! `serve_integration` exploits to prove batching never changes answers.
 
 use obs::JsonValue;
 use pathattack::{CostType, WeightType};
@@ -342,8 +342,8 @@ pub struct Request {
     /// default).
     pub deadline_ms: Option<u64>,
     /// Fault-injection hook (see [`Injection`]). Only honored by
-    /// servers started with `fault_injection: true` (the
-    /// `resilience_proof` bench and the chaos and robustness tests);
+    /// servers started with `fault_injection: true` (the chaos and
+    /// robustness tests);
     /// production servers answer it with a plain error.
     pub inject: Option<Injection>,
 }

@@ -8,8 +8,8 @@
 //! request against a hospital pays the backward Dijkstra and every later
 //! request (in batched mode) gets the table for a hash lookup. The
 //! `serve.reuse.ctx.hit` / `serve.reuse.ctx.miss` counters make that
-//! amortization visible to the `stats` request and the `serve_load`
-//! bench.
+//! amortization visible to the `stats` request and the repo
+//! benchmark.
 
 use parking_lot::Mutex;
 use pathattack::{NetworkCache, TargetContext, WeightType};
@@ -90,8 +90,9 @@ impl ResidentNetwork {
     }
 
     /// A private [`TargetContext`] for `(weight, target)`, recomputed
-    /// every call (unbatched mode — the baseline `serve_load` compares
-    /// against). Counts `serve.reuse.ctx.miss` only.
+    /// every call (unbatched mode — the baseline `serve_integration`'s
+    /// batching tests compare against). Counts `serve.reuse.ctx.miss`
+    /// only.
     pub fn fresh_context(&self, weight: WeightType, target: NodeId) -> Arc<TargetContext> {
         obs::inc("serve.reuse.ctx.miss");
         obs::trace::point(

@@ -41,8 +41,8 @@
 //!
 //! Responses deliberately carry no wall-clock fields: the same request
 //! must serialize to byte-identical responses with batching on or off,
-//! which is how `serve_load` proves the reuse layer never changes
-//! answers.
+//! which is how `serve_integration` proves the reuse layer never
+//! changes answers.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::protocol::{
@@ -89,7 +89,7 @@ pub struct ServerConfig {
     /// Largest batch one worker pops at a time.
     pub batch_max: usize,
     /// Whether to share `TargetContext`s across requests (on in
-    /// production; off is the `serve_load` baseline).
+    /// production; off is the byte-identity tests' baseline).
     pub batching: bool,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
@@ -98,8 +98,9 @@ pub struct ServerConfig {
     /// Retry hint attached to load-shed responses, milliseconds.
     pub retry_after_ms: u64,
     /// Whether each admitted request carries a [`TraceContext`]
-    /// (sampling-free; on in production). Off is the overhead-bench
-    /// baseline — responses are byte-identical either way.
+    /// (sampling-free; on in production). Off is the baseline for
+    /// measuring the tracing plane's cost — responses are
+    /// byte-identical either way.
     pub tracing: bool,
     /// Requests slower than this many milliseconds end-to-end have
     /// their span tree appended to the slow-query log.
@@ -121,12 +122,13 @@ pub struct ServerConfig {
     /// Whether requests carrying an `"inject"` fault ([`Injection`]:
     /// panic or park the executing worker) actually inject it. Off in
     /// production (such requests get a plain error); the chaos and
-    /// robustness tests and `resilience_proof` turn it on.
+    /// robustness tests turn it on.
     pub fault_injection: bool,
     /// Master switch for the per-job resilience machinery (breaker
     /// admission checks and per-job `catch_unwind`). On in production;
-    /// off is the overhead-bench baseline. The supervisor itself always
-    /// runs — it is off the per-request hot path.
+    /// off is the baseline for measuring the machinery's clean-path
+    /// cost. The supervisor itself always runs — it is off the
+    /// per-request hot path.
     pub resilience: bool,
 }
 
@@ -1076,8 +1078,7 @@ fn process_job(
                 error_response(id, "fault injection is disabled on this server", None),
             );
         }
-        // The chaos tests and `resilience_proof` exercise the
-        // supervisor through this: a real unwind from request depth,
+        // The chaos tests exercise the supervisor through this: a real unwind from request depth,
         // caught by the worker's per-job boundary.
         Some(Injection::Panic) => panic!("injected worker panic (fault injection)"),
         Some(Injection::Park) => park_until_shed(shared),
@@ -1580,7 +1581,7 @@ fn metrics_result() -> JsonValue {
     JsonValue::Obj(obj)
 }
 
-/// A minimal blocking client for tests, the CLI, and `serve_load`.
+/// A minimal blocking client for tests and the CLI.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
@@ -1608,8 +1609,8 @@ impl Client {
         Response::parse(&raw)
     }
 
-    /// Sends a raw payload and returns the raw response bytes —
-    /// `serve_load` compares these byte-for-byte across modes.
+    /// Sends a raw payload and returns the raw response bytes — the
+    /// byte-identity tests compare these across modes.
     ///
     /// # Errors
     ///

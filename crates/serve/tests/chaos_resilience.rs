@@ -1,10 +1,14 @@
 //! Survival-layer integration: injected worker panics must be answered
 //! as final errors, the supervisor must put the pool back at full
 //! strength while the budget holds and escalate to a drain when it
-//! runs out, and the per-city circuit breaker must fast-fail, cool
-//! down, and close again.
+//! runs out, the per-city circuit breaker must fast-fail, cool
+//! down, and close again, and a retrying client must get correct
+//! answers through a seeded mix of connection faults.
 
-use serve::{BreakerConfig, Client, Request, RequestKind, Server, ServerConfig};
+use serve::{
+    BreakerConfig, ChaosPlan, ChaosProxy, Client, Request, RequestKind, ResilientClient,
+    RetryPolicy, Server, ServerConfig,
+};
 use std::time::{Duration, Instant};
 
 fn panic_request(id: u64) -> Request {
@@ -183,4 +187,105 @@ fn circuit_breaker_opens_fast_fails_and_recloses_after_cooldown() {
     let resp = client.roundtrip(&after).unwrap();
     assert!(resp.ok, "breaker did not reclose: {:?}", resp.error);
     server.shutdown();
+}
+
+/// A hot mix of every fault site. Faults are per *connection*:
+/// roughly half of all connections get hit by something, so a run of
+/// fifty connections sees every site, while an 8-attempt retry policy
+/// keeps the per-call give-up probability around `0.5^7`.
+const CHAOS_SPEC: &str = "seed=7,reset=0.15,slow_loris=0.15,corrupt_request=0.12,\
+corrupt_response=0.12,disconnect=0.15,truncate=0.12,latency=0.3,latency_ms=3,slow_ms=1";
+
+/// Deterministic route/attack mix. Ids start at 1: id 0 is what the
+/// server echoes for unparseable requests, so a frame corrupted by the
+/// proxy never collides with a real id.
+fn mixed_workload(requests: usize) -> Vec<Request> {
+    const SOURCES: [usize; 6] = [3, 11, 17, 29, 5, 23];
+    (0..requests)
+        .map(|i| {
+            let kind = if i % 4 == 3 {
+                RequestKind::Attack
+            } else {
+                RequestKind::Route
+            };
+            let mut r = Request::new(i as u64 + 1, kind, "boston");
+            r.source = SOURCES[i % SOURCES.len()];
+            r.rank = 4;
+            r
+        })
+        .collect()
+}
+
+/// Drives `reqs` in order, four requests per client connection, so a
+/// run opens many connections and the proxy's per-connection faults
+/// hit many of them. Returns the raw frame of every ok response
+/// (`None` for an error or a give-up) and the clients' summed retries.
+fn drive(addr: &str, reqs: &[Request], policy: &RetryPolicy) -> (Vec<Option<Vec<u8>>>, u64) {
+    let mut responses = Vec::with_capacity(reqs.len());
+    let mut retries = 0;
+    for chunk in reqs.chunks(4) {
+        let mut client = ResilientClient::new(addr, policy.clone());
+        for req in chunk {
+            responses.push(match client.call(req) {
+                Ok(call) if call.response.ok => Some(call.raw),
+                _ => None,
+            });
+        }
+        retries += client.retries();
+    }
+    (responses, retries)
+}
+
+#[test]
+fn retrying_client_gets_byte_identical_answers_through_chaos() {
+    let server = Server::start(ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        cities: vec!["boston".to_string()],
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let reqs = mixed_workload(200);
+
+    // The reference: straight at the server, one attempt per request.
+    let (clean, _) = drive(
+        &server.local_addr().to_string(),
+        &reqs,
+        &RetryPolicy::no_retry(),
+    );
+    assert!(clean.iter().all(Option::is_some), "clean run had errors");
+
+    // The same workload through the proxy. The clients run one after
+    // another, so connection ids follow a fixed accept order and the
+    // fault schedule is the same on every run.
+    let plan = ChaosPlan::parse(CHAOS_SPEC).expect("chaos spec parses");
+    let proxy = ChaosProxy::start("127.0.0.1:0", server.local_addr(), plan).expect("proxy starts");
+    let policy = RetryPolicy {
+        max_attempts: 8,
+        base_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(200),
+        attempt_timeout: Some(Duration::from_secs(2)),
+        ..RetryPolicy::default()
+    };
+    let (faulted, retries) = drive(&proxy.local_addr().to_string(), &reqs, &policy);
+    proxy.stop();
+    server.shutdown();
+
+    let ok = faulted.iter().filter(|r| r.is_some()).count();
+    println!(
+        "{ok}/{} ok through the proxy after {retries} retries",
+        reqs.len()
+    );
+    assert!(retries > 0, "no fault reached the client");
+    assert!(
+        ok * 100 >= reqs.len() * 99,
+        "{ok}/{} requests succeeded through the proxy",
+        reqs.len()
+    );
+    // Retries may change when an answer arrives, never what it says.
+    for (i, got) in faulted.iter().enumerate() {
+        if let Some(got) = got {
+            assert_eq!(Some(got), clean[i].as_ref(), "request {} diverged", i + 1);
+        }
+    }
 }

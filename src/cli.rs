@@ -218,6 +218,10 @@ mod tests {
             citygen::Scale::from_cli("12.5"),
             Some(citygen::Scale::Custom(12.5))
         );
+        // A factor must be finite and above 0.
+        for bad in ["-1", "0", "nan", "inf"] {
+            assert_eq!(citygen::Scale::from_cli(bad), None, "--scale {bad}");
+        }
     }
 
     #[test]

@@ -581,7 +581,7 @@ fn cmd_experiment(args: &Args) -> ExitCode {
         ExperimentPlan::paper(preset, weight, parse_scale(args), args.num("seed", 42u64));
     plan.path_rank = args.num("rank", plan.path_rank);
     plan.sources_per_hospital = args.num("sources", plan.sources_per_hospital);
-    // Same worker-count resolution as `serve` and `serve_load`.
+    // Same worker-count resolution as `serve`.
     plan.threads = match serve::resolve_workers(args.get("threads")) {
         Ok(n) => n,
         Err(e) => {

@@ -180,6 +180,7 @@ fn reproduce_rejects_bad_arguments() {
         &["reproduce", "--fig", "5"],
         &["reproduce", "--fig", "two"],
         &["reproduce", "--fig", "1", "--rank", "1"],
+        &["reproduce", "--table", "1", "--scale", "0"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_metro-attack"))
             .args(args)
@@ -418,7 +419,7 @@ fn serve_answers_requests_and_drains_on_sigterm() {
             "--listen",
             "127.0.0.1:0",
             "--workers",
-            "1",
+            "2",
         ])
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -439,6 +440,72 @@ fn serve_answers_requests_and_drains_on_sigterm() {
     let resp = client.roundtrip(&req).expect("roundtrip");
     assert!(resp.ok, "{:?}", resp.error);
     drop(client); // close the connection so drain has nothing in flight
+
+    // A small mixed load from two closed-loop clients: every request
+    // must succeed, and at this concurrency the admission queue must
+    // never fill or let a request expire.
+    const SOURCES: [usize; 6] = [3, 11, 17, 29, 5, 23];
+    let next = std::sync::atomic::AtomicU64::new(0);
+    let failed = std::sync::atomic::AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client =
+                    serve::ResilientClient::new(&addr.to_string(), serve::RetryPolicy::default());
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= 24 {
+                        break;
+                    }
+                    let kind = if i % 4 == 3 {
+                        serve::RequestKind::Attack
+                    } else {
+                        serve::RequestKind::Route
+                    };
+                    let mut req = serve::Request::new(i + 2, kind, "boston");
+                    req.source = SOURCES[i as usize % SOURCES.len()];
+                    req.rank = 4;
+                    if !matches!(client.call(&req), Ok(call) if call.response.ok) {
+                        failed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(failed.into_inner(), 0, "requests failed under load");
+    let mut client = serve::Client::connect(&addr).expect("connect");
+    let stats = client
+        .roundtrip(&serve::Request::new(100, serve::RequestKind::Stats, ""))
+        .expect("stats roundtrip")
+        .result
+        .expect("stats result");
+    let counter = |name: &str| {
+        stats
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(obs::JsonValue::as_u64)
+    };
+    assert!(counter("serve.requests.ok") >= Some(25), "{stats:?}");
+    for name in [
+        "serve.requests.shed",
+        "serve.requests.timeout.queue",
+        "serve.requests.timeout.exec",
+    ] {
+        assert_eq!(counter(name), Some(0), "{name}");
+    }
+    let metrics = client
+        .roundtrip(&serve::Request::new(101, serve::RequestKind::Metrics, ""))
+        .expect("metrics roundtrip")
+        .result
+        .expect("metrics result");
+    let exposition = metrics
+        .get("exposition")
+        .and_then(obs::JsonValue::as_str)
+        .expect("metrics exposition text");
+    if let Err(e) = obs::prometheus::lint(exposition) {
+        panic!("metrics exposition fails the format lint: {e}");
+    }
+    drop(client);
 
     // Default `kill` signal is SIGTERM: the server must drain and exit 0.
     let killed = Command::new("kill")
